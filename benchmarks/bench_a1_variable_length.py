@@ -1,9 +1,9 @@
 """Ablation A1: variable-length attribute words vs the poster's fixed global width.
 
-DESIGN.md section 6 calls out the word-layout choice for ablation.  The
-full-version optimization gives every attribute its own word width; on a
-schema with one wide attribute and several narrow ones it should cut ciphertext
-size substantially while leaving correctness and q = 0 security untouched.
+The word layout is the ablation here.  The full-version optimization gives
+every attribute its own word width; on a schema with one wide attribute and
+several narrow ones it should cut ciphertext size substantially while leaving
+correctness and q = 0 security untouched.
 """
 
 from __future__ import annotations

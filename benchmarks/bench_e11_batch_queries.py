@@ -22,7 +22,7 @@ from repro.api import EncryptedDatabase
 from repro.crypto.keys import SecretKey
 from repro.crypto.rng import DeterministicRng
 from repro.outsourcing import protocol
-from repro.outsourcing.protocol import MessageKind, MessageV2
+from repro.outsourcing.protocol import Message, MessageKind
 from repro.schemes.registry import available_schemes
 from repro.workloads import EmployeeWorkload
 
@@ -36,7 +36,7 @@ def _wire_sequential(db, name, encrypted_queries):
     sizes = []
     start = time.perf_counter()
     for encrypted_query in encrypted_queries:
-        frame = MessageV2(
+        frame = Message(
             kind=MessageKind.QUERY,
             relation_name=name,
             body=protocol.encode_encrypted_query(encrypted_query),
@@ -50,7 +50,7 @@ def _wire_sequential(db, name, encrypted_queries):
 def _wire_batched(db, name, encrypted_queries):
     """One BATCH_QUERY frame; returns (elapsed_s, result_sizes)."""
     start = time.perf_counter()
-    frame = MessageV2(
+    frame = Message(
         kind=MessageKind.BATCH_QUERY,
         relation_name=name,
         body=protocol.encode_query_batch(encrypted_queries),

@@ -30,7 +30,8 @@ Two scaling figures are reported, both from measured data:
   4 shards, and it is asserted >= 2.5x unconditionally.
 
 Inserts route to exactly one shard each (no fan-out); they are measured
-pre-encrypted through the router's object-level API so the number reflects
+pre-encrypted as ``INSERT_TUPLE`` envelopes sent straight to the router
+(:func:`repro.outsourcing.protocol.request`) so the number reflects
 the serving layer, not the client-side encryption in this single benchmark
 process.  Insert throughput is round-trip-bound on loopback, so it is
 reported but not expected to scale linearly here.
@@ -57,6 +58,8 @@ from repro.analysis.reporting import ExperimentTable
 from repro.api import EncryptedDatabase
 from repro.crypto.keys import SecretKey
 from repro.crypto.rng import DeterministicRng
+from repro.outsourcing import protocol
+from repro.outsourcing.protocol import MessageKind
 
 TABLE_SIZE = 1200
 NUM_QUERIES = 32
@@ -178,7 +181,13 @@ def _concurrent_inserts(router, encrypted_tuples) -> float:
     def worker(index: int) -> None:
         try:
             for encrypted_tuple in slices[index]:
-                router.insert_tuple("Emp", encrypted_tuple)
+                protocol.request(
+                    router,
+                    MessageKind.INSERT_TUPLE,
+                    "Emp",
+                    protocol.encode_encrypted_tuple(encrypted_tuple),
+                    expect=MessageKind.ACK,
+                )
         except Exception as exc:  # noqa: BLE001
             errors.append(exc)
 

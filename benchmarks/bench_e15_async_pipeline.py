@@ -45,7 +45,7 @@ from repro.crypto.keys import SecretKey
 from repro.crypto.rng import DeterministicRng
 from repro.net import AsyncRemoteServerProxy, RemoteServerProxy, ThreadedTcpServer
 from repro.outsourcing import protocol
-from repro.outsourcing.protocol import MessageKind, MessageV2
+from repro.outsourcing.protocol import Message, MessageKind
 from repro.relational import Selection
 
 SEED = 15
@@ -159,7 +159,7 @@ def _query_envelopes(db, name: str, size: int, count: int) -> list[bytes]:
     for i in range(count):
         encrypted = scheme.encrypt_query(Selection.equals("name", f"emp{i % size}"))
         envelopes.append(
-            MessageV2(
+            Message(
                 kind=MessageKind.QUERY,
                 relation_name=name,
                 body=protocol.encode_encrypted_query(encrypted),

@@ -1,6 +1,7 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one experiment table (E1-E10, see DESIGN.md) and
+Every benchmark regenerates one experiment table (E1-E10, see
+``repro.experiments.registry``) and
 
 * records the wall-clock of the full experiment through ``pytest-benchmark``;
 * asserts the qualitative *shape* of the result (who wins, by roughly what

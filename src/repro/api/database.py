@@ -2,13 +2,14 @@
 
 One object wraps the whole outsourcing stack of the paper: a master secret
 (``K``), a registered scheme (``E``, ``Eq``, ``D``), an untrusted provider
-and the versioned wire protocol between them.  Each table gets its own
+and the wire protocol between them.  Each table gets its own
 scheme instance keyed with a sub-key derived from the master secret, so one
 session can hold many relations while the user manages a single key.
 
 Every tuple-level operation travels as protocol frames through
-:meth:`~repro.outsourcing.server.OutsourcedDatabaseServer.handle_message`
-(the same bytes a remote transport carries); session management --
+:func:`repro.outsourcing.protocol.request` and the provider's
+``handle_message`` (the same bytes a remote transport carries); session
+management --
 evaluator deployment, :meth:`EncryptedDatabase.attach_table` /
 :meth:`EncryptedDatabase.drop_table` and the debugging peeks
 (:meth:`EncryptedDatabase.retrieve_all`) -- goes through the server
@@ -23,9 +24,9 @@ of :mod:`repro.net`, or a sharded fleet behind a
 Reads accept query AST nodes or SQL strings; SQL is routed to the right
 table via the relation name in its ``FROM`` clause.  Deletes and updates
 resolve the *true* matches client-side (decrypt, filter false positives)
-and then address tuples by their public random ids with the v2
-``DELETE_TUPLES`` message, so the provider never learns which plaintext
-predicate drove the mutation.
+and then address tuples by their public random ids with the
+``DELETE_TUPLES_EXACT`` message, so the provider never learns which
+plaintext predicate drove the mutation.
 """
 
 from __future__ import annotations
@@ -61,10 +62,8 @@ from repro.outsourcing.client import SelectOutcome
 from repro.outsourcing.protocol import (
     Message,
     MessageKind,
-    MessageV2,
-    PROTOCOL_V1,
-    SUPPORTED_VERSIONS,
-    negotiate_version,
+    ProtocolError,
+    ProtocolVersionError,
 )
 from repro.outsourcing.server import OutsourcedDatabaseServer, ServerError
 from repro.outsourcing.storage import StorageBackend
@@ -114,16 +113,7 @@ class EncryptedDatabase:
         self._rng = rng
         self._scheme_options = dict(scheme_options or {})
         self._tables: dict[str, TableHandle] = {}
-        self._version = negotiate_version(
-            SUPPORTED_VERSIONS, server.supported_protocol_versions
-        )
-        # Index maintenance needs the v2 index ops; a v1-only provider
-        # silently negotiates the session back to plain scans.
-        self._index_enabled = bool(index) and self._version >= protocol.PROTOCOL_V2
-        #: Memoized "this provider cannot serve index ops" flag: set on the
-        #: first ``cannot serve message kind`` error so a fleet of older
-        #: servers costs one failed round trip, not one per operation.
-        self._index_unsupported = False
+        self._index_enabled = bool(index)
         # The client-side observability plane: per-op latency histograms,
         # completed traces, and the slow-query log of this session.
         self._metrics = MetricsRegistry()
@@ -193,8 +183,7 @@ class EncryptedDatabase:
             :mod:`repro.index`): the session ships index snapshots and
             posting deltas through every DDL/DML operation and serves
             exact selects via ``INDEX_LOOKUP`` in O(result) provider
-            work, falling back to the linear scan whenever the provider
-            (or the negotiated protocol version) cannot serve it.
+            work; a provider that lost its index answers by linear scan.
         cache:
             Keep a client-side result cache of this session's reads (see
             :mod:`repro.cache`): repeated hot queries are answered from
@@ -220,7 +209,7 @@ class EncryptedDatabase:
 
             try:
                 server = ShardRouter(shards, replicas=replicas)
-            except _ServerError as exc:
+            except (_ServerError, ProtocolVersionError) as exc:
                 raise DatabaseError(str(exc)) from exc
         elif replicas != 1:
             raise DatabaseError(
@@ -298,7 +287,12 @@ class EncryptedDatabase:
         ``cluster://...?index=1``) -- or the ``index`` keyword; they must
         agree when both are given -- makes the session maintain encrypted
         inverted indexes and answer exact selects via ``INDEX_LOOKUP``
-        (see :mod:`repro.index`), scan-falling-back wherever unsupported.
+        (see :mod:`repro.index`).
+
+        A provider that speaks another protocol version is refused at
+        connect time: the :class:`DatabaseError` carries the typed
+        :class:`~repro.outsourcing.protocol.ProtocolVersionError` as its
+        ``__cause__``.
 
         A ``cache=1`` URL option opts into the hot-key result cache tier
         (see :mod:`repro.cache`) that matches the transport: on a
@@ -380,7 +374,7 @@ class EncryptedDatabase:
                         provider = RemoteServerProxy(
                             host, port, pool_size=pool_size, timeout=timeout
                         )
-            except _ServerError as exc:
+            except (_ServerError, ProtocolVersionError) as exc:
                 raise DatabaseError(str(exc)) from exc
         elif (pool_size, timeout) != (4, 30.0):
             raise DatabaseError(
@@ -426,19 +420,9 @@ class EncryptedDatabase:
         return self._scheme_name
 
     @property
-    def protocol_version(self) -> int:
-        """The negotiated envelope version."""
-        return self._version
-
-    @property
     def index_enabled(self) -> bool:
         """True when this session maintains encrypted inverted indexes."""
         return self._index_enabled
-
-    @property
-    def index_active(self) -> bool:
-        """True while indexed serving is enabled *and* the provider plays along."""
-        return self._index_enabled and not self._index_unsupported
 
     @property
     def cache(self) -> ResultCache | None:
@@ -538,7 +522,7 @@ class EncryptedDatabase:
 
         Mints a fresh trace id, binds it as the ambient trace (every layer
         below -- proxies, router, provider -- records spans against it and
-        the id rides the v3 envelope to remote providers), and on the way
+        the id rides the envelope's trace field to remote providers), and on the way
         out files the trace, feeds the slow-query log, and observes the
         per-op-kind latency histogram.  Nested operations (an update's
         inner insert) join the caller's trace as plain spans instead of
@@ -628,9 +612,9 @@ class EncryptedDatabase:
             raise
         finally:
             self._invalidate_cache(name)
-        if handle.indexer is not None and not self._index_unsupported:
+        if handle.indexer is not None:
             snapshot = handle.indexer.snapshot(relation, encrypted)
-            self._index_request(
+            self._request(
                 MessageKind.INDEX_PUT,
                 name,
                 encode_index_snapshot(snapshot),
@@ -660,13 +644,13 @@ class EncryptedDatabase:
                 f"{stored.schema!r}"
             )
         handle = self._bind_table(schema)
-        if handle.indexer is not None and not self._index_unsupported:
+        if handle.indexer is not None:
             # The provider's index is soft state the previous session may
             # have taken with it; rebuild it from the stored ciphertexts
             # (decrypting client-side, as always) and re-ship it.
             rows = [handle.scheme.decrypt_tuple(t) for t in stored.encrypted_tuples]
             snapshot = handle.indexer.snapshot(Relation(schema, rows), stored)
-            self._index_request(
+            self._request(
                 MessageKind.INDEX_PUT,
                 name,
                 encode_index_snapshot(snapshot),
@@ -726,7 +710,7 @@ class EncryptedDatabase:
             relation_tuple = self._as_tuple(handle, row)
             encrypted = handle.scheme.encrypt_tuple(relation_tuple)
             try:
-                if handle.indexer is not None and not self._index_unsupported:
+                if handle.indexer is not None:
                     # Postings first, tuple second: a crash in between leaves a
                     # stale posting whose id fetches nothing (a harmless
                     # superset); the other order could leave an indexed lookup
@@ -734,7 +718,7 @@ class EncryptedDatabase:
                     delta = handle.indexer.insert_delta(
                         relation_tuple, encrypted.tuple_id
                     )
-                    self._index_request(
+                    self._request(
                         MessageKind.INDEX_DELTA,
                         table,
                         encode_index_delta(delta),
@@ -765,9 +749,8 @@ class EncryptedDatabase:
 
         Matching happens client-side on decrypted results (so the scheme's
         false positives are never deleted); the provider only sees the
-        public tuple ids in the v2 ``DELETE_TUPLES`` message.
+        public tuple ids in the ``DELETE_TUPLES_EXACT`` message.
         """
-        self._require_v2("delete")
         with self._traced("delete") as op_span:
             name, parsed = self._resolve(query, table)
             op_span.annotations["table"] = name
@@ -788,7 +771,6 @@ class EncryptedDatabase:
         acknowledged deletions if a concurrent session removed a matched
         tuple first).
         """
-        self._require_v2("update")
         with self._traced("update") as op_span:
             name, parsed = self._resolve(query, table)
             op_span.annotations["table"] = name
@@ -827,12 +809,11 @@ class EncryptedDatabase:
     def select_many(
         self, queries, table: str | None = None
     ) -> list[SelectOutcome]:
-        """Run several exact selects in one v2 ``BATCH_QUERY`` round trip.
+        """Run several exact selects in one ``BATCH_QUERY`` round trip.
 
         All queries must address the same table (named explicitly or via the
         SQL ``FROM`` clauses).
         """
-        self._require_v2("select_many")
         with self._traced("select_many") as op_span:
             resolved = [self._resolve(query, table) for query in queries]
             if not resolved:
@@ -911,29 +892,19 @@ class EncryptedDatabase:
 
     def _request(
         self, kind: MessageKind, relation_name: str, body: bytes, expect: MessageKind
-    ) -> Message | MessageV2:
-        envelope = Message if self._version == PROTOCOL_V1 else MessageV2
-        raw = self._server.handle_message(
-            envelope(kind=kind, relation_name=relation_name, body=body).to_bytes()
-        )
-        response = protocol.parse_message(raw)
-        if response.kind is MessageKind.ERROR:
-            raise DatabaseError(response.body.decode("utf-8", "replace"))
-        if response.kind is not expect:
-            raise DatabaseError(
-                f"expected {expect.value!r} response, got {response.kind.value!r}"
+    ) -> Message:
+        try:
+            return protocol.request(
+                self._server, kind, relation_name, body, expect=expect
             )
-        return response
+        except ProtocolError as exc:
+            raise DatabaseError(str(exc)) from exc
 
-    def _decode_query_result(self, response: Message | MessageV2) -> EvaluationResult:
-        if self._version == PROTOCOL_V1:
-            return EvaluationResult(
-                matching=protocol.decode_encrypted_relation(response.body)
-            )
-        result, consumed = protocol.decode_evaluation_result(response.body)
-        if consumed != len(response.body):
-            raise DatabaseError("trailing bytes after evaluation result")
-        return result
+    def _query_result(self, response: Message) -> EvaluationResult:
+        try:
+            return protocol.decode_query_result(response.body)
+        except ProtocolError as exc:
+            raise DatabaseError(str(exc)) from exc
 
     def _resolve(self, query: Query | str, table: str | None) -> tuple[str, Query]:
         """Route a query (AST node or SQL text) to a table of this session."""
@@ -987,95 +958,58 @@ class EncryptedDatabase:
         """The provider round trip behind :meth:`_run_query`.
 
         Indexed sessions prefer ``INDEX_LOOKUP``: trapdoor labels plus the
-        ordinary encrypted query as the embedded scan fallback, so any
-        provider answers -- O(result) when it holds the index, O(data)
-        otherwise -- and the result set is the same either way (the client
-        filter below discards index false candidates exactly as it
+        ordinary encrypted query as the embedded scan fallback, so a
+        provider answers O(result) when it holds the index and O(data)
+        when it lost it -- and the result set is the same either way (the
+        client filter below discards index false candidates exactly as it
         discards scheme false positives).
         """
-        if handle.indexer is not None and not self._index_unsupported:
+        kind, body = MessageKind.QUERY, token
+        if handle.indexer is not None:
             try:
                 labels = handle.indexer.query_labels(parsed)
             except QueryError:
                 labels = None  # a query shape the index cannot serve
             if labels is not None:
-                request = IndexLookupRequest(
-                    labels=labels, fallback_query=encrypted_query
+                kind = MessageKind.INDEX_LOOKUP
+                body = encode_index_lookup(
+                    IndexLookupRequest(labels=labels, fallback_query=encrypted_query)
                 )
-                response = self._index_request(
-                    MessageKind.INDEX_LOOKUP,
-                    handle.name,
-                    encode_index_lookup(request),
-                    expect=MessageKind.QUERY_RESULT,
-                )
-                if response is not None:
-                    return self._decode_query_result(response)
         response = self._request(
-            MessageKind.QUERY,
-            handle.name,
-            token,
-            expect=MessageKind.QUERY_RESULT,
+            kind, handle.name, body, expect=MessageKind.QUERY_RESULT
         )
-        return self._decode_query_result(response)
+        return self._query_result(response)
 
     def _delete_matches(self, name: str, matches: list[tuple]) -> int:
         """Remove already-resolved matches; returns the logical count.
 
-        Indexed sessions use the per-id ``DELETE_TUPLES_EXACT`` op --
-        tuples first, posting tombstones second, so a crash in between
-        leaves only stale postings (a harmless superset) -- and the
-        reported count is exact even when the batch raced another session.
+        The per-id ``DELETE_TUPLES_EXACT`` op reports which ids were live,
+        so the count is exact even when the batch raced another session.
+        Indexed sessions then tombstone the postings -- tuples first,
+        postings second, so a crash in between leaves only stale postings
+        (a harmless superset).
         """
         handle = self.table(name)
-        body = protocol.encode_tuple_ids([t.tuple_id for t, _ in matches])
         try:
-            return self._delete_matches_uncached(handle, name, body, matches)
-        finally:
-            self._invalidate_cache(name)
-
-    def _delete_matches_uncached(
-        self, handle: TableHandle, name: str, body: bytes, matches: list[tuple]
-    ) -> int:
-        if handle.indexer is not None and not self._index_unsupported:
-            response = self._index_request(
+            response = self._request(
                 MessageKind.DELETE_TUPLES_EXACT,
                 name,
-                body,
+                protocol.encode_tuple_ids([t.tuple_id for t, _ in matches]),
                 expect=MessageKind.TUPLE_IDS,
             )
-            if response is not None:
-                deleted_ids = protocol.decode_tuple_ids(response.body)
+            if handle.indexer is not None:
                 delta = handle.indexer.remove_delta(
                     (plaintext, t.tuple_id) for t, plaintext in matches
                 )
-                self._index_request(
+                self._request(
                     MessageKind.INDEX_DELTA,
                     name,
                     encode_index_delta(delta),
                     expect=MessageKind.ACK,
                 )
-                return len(deleted_ids)
-        response = self._request(
-            MessageKind.DELETE_TUPLES, name, body, expect=MessageKind.ACK
-        )
-        return protocol.decode_count(response.body)
-
-    def _index_request(
-        self, kind: MessageKind, relation_name: str, body: bytes, expect: MessageKind
-    ) -> Message | MessageV2 | None:
-        """A request the provider may legitimately not serve.
-
-        ``None`` means the provider rejected the *kind* (an older build):
-        the session memoizes that and every later operation goes straight
-        to the scan/plain-op path.  Real failures still raise.
-        """
-        try:
-            return self._request(kind, relation_name, body, expect=expect)
-        except DatabaseError as exc:
-            if "cannot serve message kind" in str(exc):
-                self._index_unsupported = True
-                return None
-            raise
+        finally:
+            self._invalidate_cache(name)
+        return len(protocol.decode_tuple_ids(response.body))
 
     def _true_matches(
         self, name: str, parsed: Query
@@ -1120,10 +1054,3 @@ class EncryptedDatabase:
             return RelationTuple(schema, values)
         except Exception as exc:
             raise DatabaseError(str(exc)) from exc
-
-    def _require_v2(self, operation: str) -> None:
-        if self._version < protocol.PROTOCOL_V2:
-            raise DatabaseError(
-                f"{operation} needs protocol version 2, "
-                f"negotiated version is {self._version}"
-            )

@@ -17,6 +17,7 @@ must trip ``repro bench gate`` against the clean baseline.
 
 from __future__ import annotations
 
+import gc
 import os
 import pathlib
 import re
@@ -34,6 +35,7 @@ from repro.crypto.rng import DeterministicRng
 from repro.obs.metrics import (
     aggregate_snapshot,
     histogram_summaries,
+    merge_snapshots,
     snapshot_delta,
 )
 
@@ -177,6 +179,13 @@ def run_cell(
     log=None,
 ) -> dict:
     """Deploy, seed, warm up and measure one cell; returns its payload."""
+    return _measure_cell(cell, warmup=warmup, repeats=repeats, seed=seed, log=log)[0]
+
+
+def _measure_cell(
+    cell: CellConfig, *, warmup: int, repeats: int, seed: int, log=None
+) -> tuple[dict, dict]:
+    """:func:`run_cell`'s payload plus the metrics delta of its repeats."""
     from repro.api import EncryptedDatabase
 
     cell.validate()
@@ -246,6 +255,9 @@ def run_cell(
         for _ in range(warmup):
             _one_round(cell, sessions, fresh_names, seed, slowdown=0.0)
 
+        # Registries of earlier, unreachable sessions must not die inside
+        # the window: their counts would vanish from the second snapshot.
+        gc.collect()
         before = aggregate_snapshot()
         seconds: list[float] = []
         for repeat in range(repeats):
@@ -291,7 +303,7 @@ def run_cell(
         "latency": histogram_summaries(delta),
         "slowdown_injected_s": slowdown,
         "cache": cache_stats,
-    }
+    }, delta
 
 
 def _one_round(
@@ -366,20 +378,20 @@ def run_matrix(
     log=None,
 ) -> dict:
     """Run every cell of an experiment; persist via ``store`` when given."""
-    before = aggregate_snapshot()
     cells = []
+    deltas = []
     for index, cell in enumerate(config.cells):
         if log is not None:
             log(f"[{index + 1}/{len(config.cells)}] {cell.config_id}")
-        cells.append(
-            run_cell(
-                cell,
-                warmup=config.warmup,
-                repeats=config.repeats,
-                seed=config.seed,
-                log=log,
-            )
+        payload, delta = _measure_cell(
+            cell,
+            warmup=config.warmup,
+            repeats=config.repeats,
+            seed=config.seed,
+            log=log,
         )
+        cells.append(payload)
+        deltas.append(delta)
     payload = {
         "kind": "bench-matrix",
         "experiment": config.experiment,
@@ -393,7 +405,8 @@ def run_matrix(
             "max_p99_s": dict(config.gates.max_p99_s),
         },
         "cells": cells,
-        "runtime_metrics": snapshot_delta(before, aggregate_snapshot()),
+        # Merged per-cell deltas, each taken while its sessions were alive.
+        "runtime_metrics": merge_snapshots(*deltas),
     }
     if store is not None:
         payload["result_path"] = str(

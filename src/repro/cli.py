@@ -440,6 +440,7 @@ def command_cluster_status(args: argparse.Namespace) -> int:
     """Probe every shard of a running fleet over the stats control channel."""
     from repro.cluster import ClusterError, parse_cluster_options
     from repro.net.client import RemoteError, RemoteServerProxy
+    from repro.outsourcing.protocol import ProtocolVersionError
 
     if (args.url is None) == (args.manifest is None):
         print("pass exactly one of a cluster:// URL or --manifest", file=sys.stderr)
@@ -482,7 +483,7 @@ def command_cluster_status(args: argparse.Namespace) -> int:
                 stats = proxy.server_stats()
                 names = proxy.relation_names
                 counts = {name: proxy.tuple_count(name) for name in names}
-        except RemoteError as exc:
+        except (RemoteError, ProtocolVersionError) as exc:
             unreachable += 1
             print(f"{shard_url}: DOWN ({exc})")
             continue
@@ -557,6 +558,7 @@ def command_stats(args: argparse.Namespace) -> int:
     """Scrape and merge the metrics plane of a provider or a whole fleet."""
     from repro.net.client import RemoteError, RemoteServerProxy
     from repro.obs import histogram_summaries, merge_snapshots, render_prometheus
+    from repro.outsourcing.protocol import ProtocolVersionError
 
     shard_urls = _observability_shard_urls(args.url)
     if shard_urls is None:
@@ -571,7 +573,7 @@ def command_stats(args: argparse.Namespace) -> int:
                     shard_url, pool_size=1, timeout=args.timeout
                 ) as proxy:
                     snapshot = proxy.metrics().get("metrics")
-            except RemoteError as exc:
+            except (RemoteError, ProtocolVersionError) as exc:
                 unreachable += 1
                 print(f"{shard_url}: DOWN ({exc})", file=sys.stderr)
                 continue
@@ -617,6 +619,7 @@ def _metric_label(entry: dict) -> str:
 def command_trace(args: argparse.Namespace) -> int:
     """List recent traces / slow queries, or assemble one trace by id."""
     from repro.net.client import RemoteError, RemoteServerProxy
+    from repro.outsourcing.protocol import ProtocolVersionError
 
     shard_urls = _observability_shard_urls(args.url)
     if shard_urls is None:
@@ -641,7 +644,7 @@ def command_trace(args: argparse.Namespace) -> int:
                         spans.extend(proxy.collect_trace(trace_id))
                         continue
                     recent = proxy.recent_traces(args.limit)
-            except RemoteError as exc:
+            except (RemoteError, ProtocolVersionError) as exc:
                 unreachable += 1
                 print(f"{shard_url}: DOWN ({exc})", file=sys.stderr)
                 continue

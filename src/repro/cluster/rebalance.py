@@ -27,8 +27,9 @@ the coordinator while no other session mutates the affected relations (the
 same discipline the single-provider ``STORE_RELATION`` replacement already
 requires).
 
-Everything here works on the :class:`~repro.outsourcing.server.OutsourcedDatabaseServer`
-duck-type (``stored_relation`` / ``insert_tuple`` / ``delete_tuples``), so
+Everything here works on the provider request surface -- the
+``stored_relation`` snapshot plus ``INSERT_TUPLE`` / ``DELETE_TUPLES_EXACT``
+envelopes sent through :func:`repro.outsourcing.protocol.request` -- so
 in-process shards and ``tcp://`` proxies migrate identically.  The
 ``shards`` mapping may contain backends that are *not* on the ring (a
 leaving shard being drained): they serve as copy sources and end up
@@ -42,6 +43,8 @@ from typing import Any, Iterable, Mapping
 
 from repro.cluster.executor import ClusterError
 from repro.cluster.ring import ConsistentHashRing
+from repro.outsourcing import protocol
+from repro.outsourcing.protocol import MessageKind, ProtocolError
 
 
 @dataclass
@@ -177,10 +180,25 @@ def rebalance(
             source = sorted(kept)[0] if kept else sorted(holders)[0]
             # Insert-first: a crash here leaves a surplus copy, not a loss.
             for target in sorted(desired - holders):
-                shards[target].insert_tuple(name, encrypted_tuple)
+                _request(
+                    shards, target, MessageKind.INSERT_TUPLE, name,
+                    protocol.encode_encrypted_tuple(encrypted_tuple), MessageKind.ACK,
+                )
                 report.record_move(name, source, target)
             for shard_id in sorted(holders - desired):
                 pending_deletes.setdefault(shard_id, []).append(tuple_id)
         for shard_id, tuple_ids in pending_deletes.items():
-            report.removed += shards[shard_id].delete_tuples(name, tuple_ids)
+            response = _request(
+                shards, shard_id, MessageKind.DELETE_TUPLES_EXACT, name,
+                protocol.encode_tuple_ids(tuple_ids), MessageKind.TUPLE_IDS,
+            )
+            report.removed += len(protocol.decode_tuple_ids(response.body))
     return report
+
+
+def _request(shards, shard_id, kind, name, body, expect):
+    """One envelope to one shard, failures in the cluster's error type."""
+    try:
+        return protocol.request(shards[shard_id], kind, name, body, expect=expect)
+    except ProtocolError as exc:
+        raise ClusterError(f"shard {shard_id!r}: {exc}") from exc

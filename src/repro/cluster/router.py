@@ -1,13 +1,15 @@
 """The shard router: one logical provider over a fleet of shards.
 
-:class:`ShardRouter` implements the same duck-type
+:class:`ShardRouter` implements the same request surface
 :class:`~repro.api.EncryptedDatabase` and
 :class:`~repro.outsourcing.client.OutsourcingClient` already consume --
 byte-level :meth:`~ShardRouter.handle_message` plus the management calls --
 so a session drives N providers exactly as it drives one.  Each backend is
 either an in-process :class:`~repro.outsourcing.server.OutsourcedDatabaseServer`
-(or anything with its duck-type) or a ``tcp://host:port`` URL (opened as an
-owned :class:`~repro.net.client.RemoteServerProxy`), mixed freely.
+(or anything with its request surface) or a ``tcp://host:port`` URL (opened
+as an owned :class:`~repro.net.client.RemoteServerProxy`), mixed freely.
+Shards are driven only through envelopes (each shard's ``handle_message``)
+and the management calls; the router has no object-level data API.
 
 Routing is per *encrypted tuple*: the consistent-hash ring of
 :mod:`repro.cluster.ring` keys on the public random tuple id, so placement
@@ -15,18 +17,25 @@ is a function of values every provider sees anyway.  With a replication
 factor R (``replicas=R``) every tuple lives on its R ring successors --
 R distinct shards.  Operation shapes:
 
-===================  ====================================================
-``INSERT_TUPLE``     all R replica shards of the tuple id (fail-fast)
-``DELETE_TUPLES``    scatter the public ids to every shard (providers
-                     ignore unknown ids, so this stays correct while
-                     tuples are mid-migration or a rebalance is deferred)
-``STORE_RELATION``   partitioned across all shards, each tuple stored on
-                     its R successors (every shard stores the relation,
-                     possibly empty, so queries can fan out)
-``QUERY``            scatter to all shards, merge the evaluation results
-                     (deduplicated by public tuple id)
-``BATCH_QUERY``      scatter the whole batch, merge element-wise
-===================  ====================================================
+=======================  ================================================
+``INSERT_TUPLE``         all R replica shards of the tuple id (fail-fast)
+``DELETE_TUPLES_EXACT``  scatter the public ids to every shard (providers
+                         ignore unknown ids, so this stays correct while
+                         tuples are mid-migration or a rebalance is
+                         deferred); the union of the per-shard deleted
+                         ids is the exact logical outcome
+``STORE_RELATION``       partitioned across all shards, each tuple stored
+                         on its R successors (every shard stores the
+                         relation, possibly empty, so queries can fan out)
+``QUERY``                scatter to all shards, merge the evaluation
+                         results (deduplicated by public tuple id)
+``BATCH_QUERY``          scatter the whole batch, merge element-wise
+``INDEX_LOOKUP``         scatter to all shards like ``QUERY`` (a shard
+                         without the index answers by scan itself)
+``INDEX_PUT`` /          replicate to every shard (each holds the whole
+``INDEX_DELTA``          index)
+``LIST_TUPLE_IDS``       scatter, answer the sorted union
+=======================  ================================================
 
 Writes always run fail-fast (a partially applied write is corruption).
 Scatter reads first try to *fail over*: when some shards fail but every
@@ -61,7 +70,6 @@ from typing import Any, Callable, Sequence
 from repro.cache import CacheError, ResultCache, coerce_cache_config
 from repro.core.dph import (
     DphError,
-    EncryptedQuery,
     EncryptedRelation,
     EncryptedTuple,
     EvaluationResult,
@@ -78,13 +86,7 @@ from repro.cluster.executor import (
 from repro.cluster.ring import ConsistentHashRing, DEFAULT_VIRTUAL_NODES
 from repro.obs import MetricsRegistry, current_trace_id, merge_snapshots
 from repro.outsourcing import protocol
-from repro.outsourcing.protocol import (
-    Message,
-    MessageKind,
-    MessageV2,
-    ProtocolError,
-    SUPPORTED_VERSIONS,
-)
+from repro.outsourcing.protocol import Message, MessageKind, ProtocolError
 from repro.outsourcing.server import ServerError
 from repro.outsourcing.storage import StorageError
 
@@ -218,9 +220,6 @@ class ClusterStats:
         "loop_scatters",
         # ``INDEX_LOOKUP`` scatters routed across the fleet.
         "index_lookups",
-        # Per-shard scan fallbacks inside index lookups (a fleet member that
-        # does not speak ``INDEX_LOOKUP`` answered the embedded query).
-        "index_scan_fallbacks",
         # ``INDEX_PUT`` / ``INDEX_DELTA`` fan-outs.
         "index_writes",
     )
@@ -262,9 +261,6 @@ class ClusterStats:
     def record_index_lookup(self) -> None:
         self._counters["index_lookups"].inc()
 
-    def record_index_scan_fallback(self) -> None:
-        self._counters["index_scan_fallbacks"].inc()
-
     def record_index_write(self) -> None:
         self._counters["index_writes"].inc()
 
@@ -288,7 +284,7 @@ class ClusterStats:
 
 @dataclass
 class _Shard:
-    """One backend: the duck-typed server plus ownership bookkeeping."""
+    """One backend: the provider (or proxy) plus ownership bookkeeping."""
 
     shard_id: str
     server: Any
@@ -320,9 +316,10 @@ class ShardRouter:
         ----------
         shards:
             The backends.  A string is treated as a ``tcp://host:port`` URL
-            and opened as an owned proxy; anything else must satisfy the
+            and opened as an owned proxy; anything else must offer the
+            request surface of
             :class:`~repro.outsourcing.server.OutsourcedDatabaseServer`
-            duck-type.
+            (``handle_message`` plus the management calls).
         shard_ids:
             Ring identifiers, one per backend.  Defaults to the URL for URL
             shards and ``shard-<index>`` for object shards.  Identifiers are
@@ -733,21 +730,8 @@ class ShardRouter:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # The OutsourcedDatabaseServer duck-type: session management
+    # The provider's request surface: session management
     # ------------------------------------------------------------------ #
-
-    @property
-    def supported_protocol_versions(self) -> tuple[int, ...]:
-        """Versions every shard speaks (the fleet negotiates as one)."""
-        common = [
-            version
-            for version in SUPPORTED_VERSIONS
-            if all(
-                version in shard.server.supported_protocol_versions
-                for shard in self._shards.values()
-            )
-        ]
-        return tuple(common)
 
     def register_evaluator(self, name: str, evaluator: ServerEvaluator) -> None:
         """Deploy the keyless evaluator on every shard."""
@@ -808,7 +792,7 @@ class ShardRouter:
         duplicates never inflate it.  :meth:`per_shard_tuple_counts` still
         reports the raw physical counts (cheap metadata reads) for
         placement introspection.  Each shard answers with its *id list*
-        (the v2 ``LIST_TUPLE_IDS`` op) rather than its stored ciphertexts,
+        (the ``LIST_TUPLE_IDS`` op) rather than its stored ciphertexts,
         so the wire cost is ``O(ids)`` instead of ``O(data * R)``.
         """
         return len(self._distinct_tuple_ids(name))
@@ -820,7 +804,7 @@ class ShardRouter:
     def _distinct_tuple_ids(self, name: str) -> set[bytes]:
         gathered = self._gather(
             f"list-tuple-ids({name!r})",
-            self._all_shards(lambda server: self._shard_tuple_ids(server, name)),
+            self._all_shards(lambda server: server.list_tuple_ids(name)),
             policy=FAIL_FAST,
             read=True,
         )
@@ -828,15 +812,6 @@ class ShardRouter:
         for shard_ids in gathered.values:
             ids.update(shard_ids)
         return ids
-
-    @staticmethod
-    def _shard_tuple_ids(server: Any, name: str) -> tuple[bytes, ...]:
-        lister = getattr(server, "list_tuple_ids", None)
-        if lister is not None:
-            return tuple(lister(name))
-        # Duck-typed backend without the id-listing op: fall back to the
-        # stored relation (correct, just O(data) like the pre-op world).
-        return tuple(t.tuple_id for t in server.stored_relation(name).encrypted_tuples)
 
     def drop_relation(self, name: str) -> None:
         """Drop the relation on every shard (fail-fast: no half-dropped state)."""
@@ -862,7 +837,7 @@ class ShardRouter:
             self._cache.flush()
 
     # ------------------------------------------------------------------ #
-    # The OutsourcedDatabaseServer duck-type: wire level
+    # The provider's request surface: wire level
     # ------------------------------------------------------------------ #
 
     def handle_message(self, raw: bytes) -> bytes:
@@ -887,14 +862,13 @@ class ShardRouter:
         {
             MessageKind.INSERT_TUPLE,
             MessageKind.STORE_RELATION,
-            MessageKind.DELETE_TUPLES,
             MessageKind.DELETE_TUPLES_EXACT,
             MessageKind.INDEX_PUT,
             MessageKind.INDEX_DELTA,
         }
     )
 
-    def _route_envelope(self, request: Message | MessageV2, raw: bytes) -> bytes:
+    def _route_envelope(self, request: Message, raw: bytes) -> bytes:
         """Cache-aware routing: reads consult the coordinator cache, writes
         invalidate it; everything else goes straight to the fleet."""
         if self._cache is not None:
@@ -904,34 +878,36 @@ class ShardRouter:
                     return self._route_envelope_uncached(request, raw)
                 finally:
                     self._cache.invalidate(request.relation_name)
-            if kind is MessageKind.QUERY:
+            if kind in (MessageKind.QUERY, MessageKind.INDEX_LOOKUP):
                 return self._cached_query(request, raw)
             if kind is MessageKind.BATCH_QUERY:
                 return self._cached_batch(request, raw)
-            if kind is MessageKind.INDEX_LOOKUP:
-                return self._cached_index_lookup(request, raw)
         return self._route_envelope_uncached(request, raw)
 
-    def _cached_query(self, request: Message | MessageV2, raw: bytes) -> bytes:
-        """Serve one QUERY from the cache, or scatter and fill.
+    def _cached_query(self, request: Message, raw: bytes) -> bytes:
+        """Serve one QUERY or INDEX_LOOKUP from the cache, or scatter and fill.
 
-        The token is the encoded encrypted query -- exactly the envelope
-        body -- shared with the batch path, so a single-query fill serves
-        later batch elements and vice versa.  Only *complete* answers are
-        cached: a degraded read (some ring segment unanswered) is correct
-        to serve once but must not be replayed after the shards recover.
+        The token is the envelope body.  For a QUERY that is the encoded
+        encrypted query, shared with the batch path, so a single-query fill
+        serves later batch elements and vice versa; an indexed session
+        re-asks a hot lookup with byte-identical labels, so its token
+        repeats the same way.  Only *complete* answers are cached: a
+        degraded read (some ring segment unanswered) is correct to serve
+        once but must not be replayed after the shards recover.
         """
         name = request.relation_name
-        token = ("query", request.body)
+        token = (request.kind.value, request.body)
         merged = self._cache.lookup(name, token)
         if merged is None:
             generation = self._cache.generation(name)
             merged, complete = self._scatter_query(request, raw)
             if complete:
                 self._cache.put(name, token, merged, generation)
-        return self._query_result_response(request, merged)
+        return self._respond(
+            request, MessageKind.QUERY_RESULT, protocol.encode_evaluation_result(merged)
+        ).to_bytes()
 
-    def _cached_batch(self, request: Message | MessageV2, raw: bytes) -> bytes:
+    def _cached_batch(self, request: Message, raw: bytes) -> bytes:
         """Element-wise batch caching: only the missing queries scatter."""
         name = request.relation_name
         queries = protocol.decode_query_batch(request.body)
@@ -963,39 +939,7 @@ class ShardRouter:
             protocol.encode_result_batch(results),
         ).to_bytes()
 
-    def _cached_index_lookup(self, request: Message | MessageV2, raw: bytes) -> bytes:
-        """Serve one INDEX_LOOKUP from the cache, or scatter and fill.
-
-        Keyed on the raw lookup body (labels + embedded fallback query):
-        an indexed session re-asks a hot query with byte-identical labels,
-        so the token repeats exactly like the plain-query one.
-        """
-        name = request.relation_name
-        token = ("index", request.body)
-        merged = self._cache.lookup(name, token)
-        if merged is None:
-            generation = self._cache.generation(name)
-            merged, complete = self._scatter_index_lookup(request, raw)
-            if complete:
-                self._cache.put(name, token, merged, generation)
-        return self._respond(
-            request,
-            MessageKind.QUERY_RESULT,
-            protocol.encode_evaluation_result(merged),
-        ).to_bytes()
-
-    def _query_result_response(
-        self, request: Message | MessageV2, merged: EvaluationResult
-    ) -> bytes:
-        if request.version == protocol.PROTOCOL_V1:
-            body = protocol.encode_encrypted_relation(merged.matching)
-        else:
-            body = protocol.encode_evaluation_result(merged)
-        return self._respond(request, MessageKind.QUERY_RESULT, body).to_bytes()
-
-    def _route_envelope_uncached(
-        self, request: Message | MessageV2, raw: bytes
-    ) -> bytes:
+    def _route_envelope_uncached(self, request: Message, raw: bytes) -> bytes:
         kind = request.kind
         if kind is MessageKind.INSERT_TUPLE:
             encrypted_tuple, consumed = protocol.decode_encrypted_tuple(request.body)
@@ -1026,16 +970,13 @@ class ShardRouter:
             return self._respond(
                 request, MessageKind.ACK, protocol.encode_count(len(encrypted_relation))
             ).to_bytes()
-        if kind is MessageKind.DELETE_TUPLES:
-            deleted = self._scatter_delete(
-                request, protocol.decode_tuple_ids(request.body)
-            )
-            return self._respond(
-                request, MessageKind.ACK, protocol.encode_count(deleted)
-            ).to_bytes()
-        if kind is MessageKind.QUERY:
+        if kind in (MessageKind.QUERY, MessageKind.INDEX_LOOKUP):
             merged, _ = self._scatter_query(request, raw)
-            return self._query_result_response(request, merged)
+            return self._respond(
+                request,
+                MessageKind.QUERY_RESULT,
+                protocol.encode_evaluation_result(merged),
+            ).to_bytes()
         if kind is MessageKind.BATCH_QUERY:
             merged_batch, _ = self._scatter_batch(request, raw)
             return self._respond(
@@ -1058,9 +999,12 @@ class ShardRouter:
                 request, MessageKind.TUPLE_IDS, protocol.encode_tuple_ids(sorted(ids))
             ).to_bytes()
         if kind is MessageKind.DELETE_TUPLES_EXACT:
-            # Like DELETE_TUPLES, the full id list goes to the whole fleet;
-            # the union of per-shard outcomes is the exact logical id set
-            # (each physical copy of a tuple reports the same public id).
+            # Every shard gets the full id list: ring ownership is a
+            # *placement* policy, not an invariant -- a deferred rebalance
+            # or a crash mid-migration can leave a tuple (or its transient
+            # duplicate) off its owner, and providers ignore ids they do
+            # not hold.  The union of per-shard outcomes is the exact
+            # logical id set (each physical copy reports the same id).
             gathered = self._gather_envelopes(
                 f"delete-tuples-exact({request.relation_name!r})",
                 {shard_id: raw for shard_id in self._shards},
@@ -1090,17 +1034,10 @@ class ShardRouter:
             return self._respond(
                 request, MessageKind.ACK, protocol.encode_count(max(counts))
             ).to_bytes()
-        if kind is MessageKind.INDEX_LOOKUP:
-            merged, _ = self._scatter_index_lookup(request, raw)
-            return self._respond(
-                request,
-                MessageKind.QUERY_RESULT,
-                protocol.encode_evaluation_result(merged),
-            ).to_bytes()
         raise ClusterError(f"cannot route message kind {kind.value!r}")
 
     def _scatter_store(
-        self, request: Message | MessageV2, encrypted_relation: EncryptedRelation
+        self, request: Message, encrypted_relation: EncryptedRelation
     ) -> None:
         self._schemas[request.relation_name] = encrypted_relation.schema
         groups = self._partition_tuples(encrypted_relation)
@@ -1121,180 +1058,32 @@ class ShardRouter:
             policy=FAIL_FAST,
         )
 
-    def _scatter_delete(
-        self, request: Message | MessageV2, tuple_ids: Sequence[bytes]
-    ) -> int:
-        # Every shard gets the full id list: ring ownership is a *placement*
-        # policy, not an invariant -- a deferred rebalance or a crash mid-
-        # migration can leave a tuple (or its transient duplicate) off its
-        # owner, and providers ignore ids they do not hold.
-        if not tuple_ids:
-            return 0
-        envelope = self._respond(
-            request, MessageKind.DELETE_TUPLES, protocol.encode_tuple_ids(tuple_ids)
-        ).to_bytes()
-        gathered = self._gather_envelopes(
-            f"delete-tuples({request.relation_name!r})",
-            {shard_id: envelope for shard_id in self._shards},
-            expect=MessageKind.ACK,
-            policy=FAIL_FAST,
-        )
-        return self._logical_deletions(
-            [protocol.decode_count(response.body) for response in gathered.values],
-            len(tuple_ids),
-        )
-
-    @staticmethod
-    def _logical_deletions(per_shard_deleted: Sequence[int], requested: int) -> int:
-        """Logical tuples removed, from per-shard physical deletion counts.
-
-        With replication (and with transient migration duplicates) one
-        logical tuple dies on several shards, so the raw sum over-counts;
-        the fleet cannot report per-id outcomes, so the sum is capped at
-        the number of addressed ids.  This is exact whenever every
-        addressed id still existed somewhere -- the normal case, since the
-        session derives the ids from a just-executed query.  It is an
-        *estimate* for stale batches on a replicated cluster: addressing
-        ids that no longer exist alongside ids with R live copies can make
-        the capped sum land anywhere between the true logical count and
-        the batch size.  The per-id ``DELETE_TUPLES_EXACT`` op supersedes
-        this whenever the fleet supports it; the estimate survives only
-        for duck-typed backends without the op.
-        """
-        return min(sum(per_shard_deleted), requested)
-
     def _scatter_query(
-        self, request: Message | MessageV2, raw: bytes
+        self, request: Message, raw: bytes
     ) -> tuple[EvaluationResult, bool]:
         """The merged result plus whether it is *complete* (not degraded).
 
         Failover reads are complete -- the survivors provably cover every
         ring segment -- so they stay cacheable; only a DEGRADED-policy
-        answer that actually lost data reports False.
+        answer that actually lost data reports False.  Serves ``QUERY``
+        and ``INDEX_LOOKUP`` alike: both answer ``QUERY_RESULT``.
         """
+        if request.kind is MessageKind.INDEX_LOOKUP:
+            self._stats.record_index_lookup()
         gathered = self._gather_envelopes(
-            f"query({request.relation_name!r})",
+            f"{request.kind.value}({request.relation_name!r})",
             {shard_id: raw for shard_id in self._shards},
             expect=MessageKind.QUERY_RESULT,
             policy=self._policy,
             read=True,
         )
-        results = [self._decode_result(request, response) for response in gathered.values]
-        return merge_evaluation_results(results), not gathered.degraded
-
-    def _scatter_index_lookup(
-        self, request: Message | MessageV2, raw: bytes
-    ) -> tuple[EvaluationResult, bool]:
-        """Scatter an ``INDEX_LOOKUP``, per-shard scan fallback included.
-
-        A fleet member that does not speak the op (an older build in a
-        mixed fleet) answers with the ``cannot serve message kind`` error;
-        this coordinator then replays the lookup's embedded fallback query
-        to *that shard only* as a plain ``QUERY``, so the merged answer
-        stays complete -- some shards at O(result), the stragglers at
-        O(data) -- instead of failing the read.
-        """
-        from repro.index.wire import decode_index_lookup
-
-        lookup = decode_index_lookup(request.body)
-        fallback_raw = None
-        if lookup.fallback_query is not None:
-            fallback_raw = self._respond(
-                request,
-                MessageKind.QUERY,
-                protocol.encode_encrypted_query(lookup.fallback_query),
-            ).to_bytes()
-        self._stats.record_index_lookup()
-        calls = [
-            self._lookup_call(shard_id, raw, fallback_raw)
-            for shard_id in self._shards
+        results = [
+            protocol.decode_query_result(response.body) for response in gathered.values
         ]
-        async_calls = None
-        if self._loop_thread is not None and all(
-            hasattr(self.shard(shard_id), "handle_message_async")
-            for shard_id in self._shards
-        ):
-            async_calls = [
-                self._lookup_call_async(shard_id, raw, fallback_raw)
-                for shard_id in self._shards
-            ]
-        gathered = self._gather(
-            f"index-lookup({request.relation_name!r})",
-            calls,
-            policy=self._policy,
-            read=True,
-            async_calls=async_calls,
-        )
-        results = [self._decode_result(request, response) for response in gathered.values]
         return merge_evaluation_results(results), not gathered.degraded
-
-    #: The error text a provider answers for a message kind it cannot serve;
-    #: the lookup scatter keys its per-shard scan fallback on it.
-    _UNSERVED_KIND_MARKER = b"cannot serve message kind"
-
-    def _lookup_fallback_applies(
-        self, response: Message | MessageV2, fallback_raw: bytes | None
-    ) -> bool:
-        return (
-            response.kind is MessageKind.ERROR
-            and fallback_raw is not None
-            and self._UNSERVED_KIND_MARKER in response.body
-        )
-
-    def _lookup_call(
-        self, shard_id: str, envelope: bytes, fallback_raw: bytes | None
-    ) -> tuple[str, Callable[[], Message | MessageV2]]:
-        server = self.shard(shard_id)
-
-        def call() -> Message | MessageV2:
-            response = protocol.parse_message(server.handle_message(envelope))
-            if self._lookup_fallback_applies(response, fallback_raw):
-                self._stats.record_index_scan_fallback()
-                return self._check_envelope_response(
-                    shard_id, server.handle_message(fallback_raw), MessageKind.QUERY_RESULT
-                )
-            return self._checked_lookup_response(shard_id, response)
-
-        return shard_id, call
-
-    def _lookup_call_async(
-        self, shard_id: str, envelope: bytes, fallback_raw: bytes | None
-    ) -> tuple[str, Callable[[], Any]]:
-        server = self.shard(shard_id)
-        # Captured here, on the session thread: the coroutine runs on the
-        # loop thread where the ambient contextvar is unset.
-        trace_id = current_trace_id()
-
-        async def round_trip() -> Message | MessageV2:
-            response = protocol.parse_message(
-                await server.handle_message_async(envelope, trace_id=trace_id)
-            )
-            if self._lookup_fallback_applies(response, fallback_raw):
-                self._stats.record_index_scan_fallback()
-                return self._check_envelope_response(
-                    shard_id,
-                    await server.handle_message_async(fallback_raw, trace_id=trace_id),
-                    MessageKind.QUERY_RESULT,
-                )
-            return self._checked_lookup_response(shard_id, response)
-
-        return shard_id, round_trip
-
-    @staticmethod
-    def _checked_lookup_response(
-        shard_id: str, response: Message | MessageV2
-    ) -> Message | MessageV2:
-        if response.kind is MessageKind.ERROR:
-            raise ClusterError(response.body.decode("utf-8", "replace"))
-        if response.kind is not MessageKind.QUERY_RESULT:
-            raise ClusterError(
-                f"shard {shard_id!r} answered {response.kind.value!r}, "
-                f"expected {MessageKind.QUERY_RESULT.value!r}"
-            )
-        return response
 
     def _scatter_batch(
-        self, request: Message | MessageV2, raw: bytes
+        self, request: Message, raw: bytes
     ) -> tuple[list[EvaluationResult], bool]:
         gathered = self._gather_envelopes(
             f"batch-query({request.relation_name!r})",
@@ -1316,19 +1105,6 @@ class ShardRouter:
             for i in range(lengths.pop())
         ]
         return merged, not gathered.degraded
-
-    @staticmethod
-    def _decode_result(
-        request: Message | MessageV2, response: Message | MessageV2
-    ) -> EvaluationResult:
-        if request.version == protocol.PROTOCOL_V1:
-            return EvaluationResult(
-                matching=protocol.decode_encrypted_relation(response.body)
-            )
-        result, consumed = protocol.decode_evaluation_result(response.body)
-        if consumed != len(response.body):
-            raise ClusterError("trailing bytes after evaluation result")
-        return result
 
     def _gather_envelopes(
         self,
@@ -1366,28 +1142,20 @@ class ShardRouter:
             operation, calls, policy=policy, read=read, async_calls=async_calls
         )
 
-    def _check_envelope_response(
-        self, shard_id: str, raw_response: bytes, expect: MessageKind
-    ) -> Message | MessageV2:
-        response = protocol.parse_message(raw_response)
-        if response.kind is MessageKind.ERROR:
-            raise ClusterError(response.body.decode("utf-8", "replace"))
-        if response.kind is not expect:
-            raise ClusterError(
-                f"shard {shard_id!r} answered {response.kind.value!r}, "
-                f"expected {expect.value!r}"
-            )
-        return response
+    @staticmethod
+    def _check_reply(shard_id: str, raw_response: bytes, expect: MessageKind) -> Message:
+        try:
+            return protocol.check_reply(raw_response, expect)
+        except ProtocolError as exc:
+            raise ClusterError(f"shard {shard_id!r}: {exc}") from exc
 
     def _envelope_call(
         self, shard_id: str, envelope: bytes, expect: MessageKind
-    ) -> tuple[str, Callable[[], Message | MessageV2]]:
+    ) -> tuple[str, Callable[[], Message]]:
         server = self.shard(shard_id)
 
-        def call() -> Message | MessageV2:
-            return self._check_envelope_response(
-                shard_id, server.handle_message(envelope), expect
-            )
+        def call() -> Message:
+            return self._check_reply(shard_id, server.handle_message(envelope), expect)
 
         return shard_id, call
 
@@ -1397,201 +1165,14 @@ class ShardRouter:
         server = self.shard(shard_id)
         trace_id = current_trace_id()  # captured on the session thread
 
-        async def round_trip() -> Message | MessageV2:
-            return self._check_envelope_response(
+        async def round_trip() -> Message:
+            return self._check_reply(
                 shard_id,
                 await server.handle_message_async(envelope, trace_id=trace_id),
                 expect,
             )
 
         return shard_id, round_trip
-
-    # ------------------------------------------------------------------ #
-    # Object-level convenience API (what OutsourcingClient uses)
-    # ------------------------------------------------------------------ #
-
-    def store_relation(
-        self,
-        name: str,
-        encrypted_relation: EncryptedRelation,
-        evaluator: ServerEvaluator,
-    ) -> None:
-        """Deploy the evaluator everywhere, then store each shard's partition."""
-        self.register_evaluator(name, evaluator)
-        self._schemas[name] = encrypted_relation.schema
-        groups = self._partition_tuples(encrypted_relation)
-        try:
-            self._gather(
-                f"store-relation({name!r})",
-                [
-                    (
-                        shard_id,
-                        (
-                            lambda sv, part: lambda: sv.store_relation(
-                                name,
-                                EncryptedRelation(
-                                    schema=encrypted_relation.schema,
-                                    encrypted_tuples=tuple(part),
-                                ),
-                                evaluator,
-                            )
-                        )(self.shard(shard_id), tuples),
-                    )
-                    for shard_id, tuples in groups.items()
-                ],
-                policy=FAIL_FAST,
-            )
-        finally:
-            self._invalidate_cache(name)
-
-    def insert_tuple(self, name: str, encrypted_tuple: EncryptedTuple) -> None:
-        """Append one ciphertext on all R of its ring-assigned replica shards.
-
-        Fail-fast: if any replica cannot apply the write, the insert as a
-        whole fails (the caller may retry; providers tolerate re-inserts of
-        an id they already hold only as duplicates that reads deduplicate,
-        so surfacing the failure beats silently under-replicating).
-        """
-        targets = self.replica_shards(encrypted_tuple.tuple_id)
-        self._stats.record_routed_insert()
-        try:
-            if len(targets) == 1:  # unreplicated fast path: no scatter hop
-                self.shard(targets[0]).insert_tuple(name, encrypted_tuple)
-                return
-            self._gather(
-                f"insert-tuple({name!r})",
-                [
-                    (
-                        shard_id,
-                        (lambda sv: lambda: sv.insert_tuple(name, encrypted_tuple))(
-                            self.shard(shard_id)
-                        ),
-                    )
-                    for shard_id in targets
-                ],
-                policy=FAIL_FAST,
-            )
-        finally:
-            self._invalidate_cache(name)
-
-    def delete_tuples(self, name: str, tuple_ids: Sequence[bytes]) -> int:
-        """Delete ids on every shard; returns the *logical* count removed.
-
-        The full id list goes to the whole fleet (providers ignore unknown
-        ids), so deletes stay correct while tuples sit off their ring owner
-        -- a deferred rebalance, insert-first migration duplicates, or the
-        R replica copies.  When every shard reports per-id outcomes
-        (:meth:`delete_tuples_exact`) the logical count is exact even for
-        stale or replayed batches; only duck-typed backends without the op
-        fall back to the capped-sum estimate of :meth:`_logical_deletions`.
-        """
-        if not tuple_ids:
-            return 0
-        if all(
-            hasattr(shard.server, "delete_tuples_exact")
-            for shard in self._shards.values()
-        ):
-            return len(self.delete_tuples_exact(name, tuple_ids))
-        ids = list(tuple_ids)
-        try:
-            gathered = self._gather(
-                f"delete-tuples({name!r})",
-                self._all_shards(lambda server: server.delete_tuples(name, ids)),
-                policy=FAIL_FAST,
-            )
-        finally:
-            self._invalidate_cache(name)
-        return self._logical_deletions(gathered.values, len(ids))
-
-    def delete_tuples_exact(self, name: str, tuple_ids: Sequence[bytes]) -> tuple[bytes, ...]:
-        """Delete ids fleet-wide and report exactly which ids were live.
-
-        The union of per-shard outcomes is the precise logical deletion
-        set: every physical copy of a tuple reports the same public id, so
-        replication and crash duplicates collapse for free.  This is the
-        per-id outcome op the capped-sum estimate of
-        :meth:`_logical_deletions` could not provide.
-        """
-        if not tuple_ids:
-            return ()
-        ids = list(tuple_ids)
-        try:
-            gathered = self._gather(
-                f"delete-tuples-exact({name!r})",
-                self._all_shards(
-                    lambda server: tuple(server.delete_tuples_exact(name, ids))
-                ),
-                policy=FAIL_FAST,
-            )
-        finally:
-            self._invalidate_cache(name)
-        deleted: set[bytes] = set()
-        for shard_deleted in gathered.values:
-            deleted.update(shard_deleted)
-        return tuple(sorted(deleted))
-
-    def execute_query(
-        self, name: str, encrypted_query: EncryptedQuery
-    ) -> EvaluationResult:
-        """Scatter one encrypted query and merge the per-shard results."""
-        token = None
-        generation = None
-        if self._cache is not None:
-            # Same token namespace as the QUERY envelope path (whose body
-            # *is* the encoded encrypted query), so both surfaces share hits.
-            token = ("query", protocol.encode_encrypted_query(encrypted_query))
-            cached = self._cache.lookup(name, token)
-            if cached is not None:
-                return cached
-            generation = self._cache.generation(name)
-        gathered = self._gather(
-            f"query({name!r})",
-            self._all_shards(lambda server: server.execute_query(name, encrypted_query)),
-            policy=self._policy,
-            read=True,
-        )
-        merged = merge_evaluation_results(list(gathered.values))
-        if self._cache is not None and not gathered.degraded:
-            self._cache.put(name, token, merged, generation)
-        return merged
-
-    def execute_batch(
-        self, name: str, encrypted_queries: Sequence[EncryptedQuery]
-    ) -> list[EvaluationResult]:
-        """Scatter a query batch and merge element-wise (cache-aware)."""
-        queries = list(encrypted_queries)
-        if self._cache is None:
-            return self._scatter_object_batch(name, queries)[0]
-        tokens = [("query", protocol.encode_encrypted_query(q)) for q in queries]
-        results: list[EvaluationResult | None] = [
-            self._cache.lookup(name, token) for token in tokens
-        ]
-        missing = [i for i, value in enumerate(results) if value is None]
-        if missing:
-            generation = self._cache.generation(name)
-            fetched, complete = self._scatter_object_batch(
-                name, [queries[i] for i in missing]
-            )
-            for i, merged in zip(missing, fetched):
-                results[i] = merged
-                if complete:
-                    self._cache.put(name, tokens[i], merged, generation)
-        return list(results)
-
-    def _scatter_object_batch(
-        self, name: str, queries: Sequence[EncryptedQuery]
-    ) -> tuple[list[EvaluationResult], bool]:
-        gathered = self._gather(
-            f"batch-query({name!r})",
-            self._all_shards(lambda server: server.execute_batch(name, queries)),
-            policy=self._policy,
-            read=True,
-        )
-        merged = [
-            merge_evaluation_results([results[i] for results in gathered.values])
-            for i in range(len(queries))
-        ]
-        return merged, not gathered.degraded
 
     # ------------------------------------------------------------------ #
     # Elastic membership
@@ -1625,15 +1206,22 @@ class ShardRouter:
             raise ClusterError(f"duplicate shard id {shard.shard_id!r}")
         try:
             for name in names:
-                schema = self._any_schema(name)
-                shard.server.store_relation(
-                    name,
-                    EncryptedRelation(schema=schema, encrypted_tuples=()),
-                    self._evaluators[name],
+                empty = EncryptedRelation(
+                    schema=self._any_schema(name), encrypted_tuples=()
                 )
-        except BaseException:
+                shard.server.register_evaluator(name, self._evaluators[name])
+                protocol.request(
+                    shard.server,
+                    MessageKind.STORE_RELATION,
+                    name,
+                    protocol.encode_encrypted_relation(empty),
+                    expect=MessageKind.ACK,
+                )
+        except BaseException as exc:
             if shard.owned:
                 shard.server.close()
+            if isinstance(exc, ProtocolError):
+                raise ClusterError(f"shard {shard.shard_id!r}: {exc}") from exc
             raise
         self._shards[shard.shard_id] = shard
         self._ring.add_shard(shard.shard_id)
@@ -1869,8 +1457,5 @@ class ShardRouter:
             )
 
     @staticmethod
-    def _respond(
-        request: Message | MessageV2, kind: MessageKind, body: bytes
-    ) -> Message | MessageV2:
-        envelope = Message if request.version == protocol.PROTOCOL_V1 else MessageV2
-        return envelope(kind=kind, relation_name=request.relation_name, body=body)
+    def _respond(request: Message, kind: MessageKind, body: bytes) -> Message:
+        return Message(kind=kind, relation_name=request.relation_name, body=body)

@@ -1,7 +1,8 @@
-"""Experiment harness: one entry point per experiment in DESIGN.md (E1-E10).
+"""Experiment harness: one entry point per experiment (E1-E10).
 
 The ICDE 2006 poster has no numbered tables or figures; the experiments here
-quantify each of its claims (see ``DESIGN.md`` section 5 for the mapping).
+quantify each of its claims (:mod:`repro.experiments.registry` maps each
+claim to its experiment).
 Every ``run_*`` function returns a result object whose ``to_table()`` method
 renders the rows recorded in ``EXPERIMENTS.md``; the modules under
 ``benchmarks/`` call the same functions so the published numbers can be

@@ -1,8 +1,8 @@
 """Experiment registry: the index mapping experiment ids to runners.
 
-``EXPERIMENTS`` is the machine-readable version of the per-experiment index in
-``DESIGN.md``: every entry names the paper claim being checked, the benchmark
-module that regenerates it and the callable that produces the table.  The
+``EXPERIMENTS`` is the per-experiment index: every entry names the paper
+claim being checked, the benchmark module that regenerates it and the
+callable that produces the table.  The
 ``examples/reproduce_paper.py`` script iterates over it to print every table
 in one run (with reduced parameters).
 """

@@ -9,7 +9,7 @@ machine boundary.  ``repro.net`` is that missing transport, in three layers:
     Length-prefixed frames over a byte stream, with a strict size ceiling
     and eager rejection of truncated, oversized or garbage input.  A
     one-byte channel tag multiplexes *envelope* frames (opaque protocol
-    v1/v2 messages, exactly the bytes ``handle_message`` consumes) and
+    messages, exactly the bytes ``handle_message`` consumes) and
     *control* frames (JSON session management) on one connection, and a
     4-byte **correlation id** pairs every response to its request so a
     connection is a pipeline: many requests in flight, answered in
@@ -20,7 +20,7 @@ machine boundary.  ``repro.net`` is that missing transport, in three layers:
     :class:`~repro.net.server.DatabaseTcpServer`: an asyncio server hosting
     one :class:`~repro.outsourcing.server.OutsourcedDatabaseServer` for many
     concurrent connections.  Each connection starts with a hello exchange
-    that negotiates the protocol version; envelope dispatch is parallel
+    that refuses any other protocol version; envelope dispatch is parallel
     across relations and FIFO within one
     (:class:`~repro.net.server.KeyedSerialDispatcher`), so a heavy scan of
     one relation blocks neither other connections' I/O nor other

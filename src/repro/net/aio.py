@@ -12,10 +12,9 @@ loop instead of a thread per call.
 
 The proxy serves two worlds at once:
 
-* **Synchronous callers** get the exact
-  :class:`~repro.outsourcing.server.OutsourcedDatabaseServer` duck-type
-  (inherited from :class:`~repro.net.client.RemoteProxyBase`, so the sync
-  surface is byte-for-byte the blocking proxy's).  Each call posts a
+* **Synchronous callers** get the provider's request surface (inherited
+  from :class:`~repro.net.client.RemoteProxyBase`, so the sync surface is
+  byte-for-byte the blocking proxy's).  Each call posts a
   coroutine to the proxy's :class:`EventLoopThread` and blocks for its own
   result only -- N threads calling concurrently become N requests
   pipelined on one socket.
@@ -41,7 +40,6 @@ import contextlib
 import socket
 import threading
 import time
-from typing import Sequence
 
 from repro.net import wire
 from repro.net.client import (
@@ -59,7 +57,6 @@ from repro.net.framing import (
 )
 from repro.obs import current_trace
 from repro.outsourcing import protocol
-from repro.outsourcing.protocol import PROTOCOL_V3, SUPPORTED_VERSIONS
 
 
 class EventLoopThread:
@@ -160,8 +157,6 @@ class AsyncRemoteConnection:
         self._failed: BaseException | None = None
         self._closed = False
         self._reader_task: asyncio.Task | None = None
-        self.server_versions: tuple[int, ...] = ()
-        self.negotiated_version: int = 0
         self.server_software: str = "unknown"
         self.server_max_frame_size: int = max_frame_size
 
@@ -173,7 +168,6 @@ class AsyncRemoteConnection:
         *,
         timeout: float | None = 30.0,
         max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
-        client_versions: Sequence[int] = SUPPORTED_VERSIONS,
     ) -> "AsyncRemoteConnection":
         """Connect, start the reader, and perform the hello handshake."""
         try:
@@ -192,13 +186,12 @@ class AsyncRemoteConnection:
         connection._reader_task = asyncio.ensure_future(connection._read_loop())
         try:
             frame = await asyncio.wait_for(
-                connection.request(wire.encode_hello(client_versions), CHANNEL_CONTROL),
+                connection.request(wire.encode_hello(), CHANNEL_CONTROL),
                 timeout,
             )
-            response = wire.decode_control_response(frame.payload)
-            if not response.get("ok"):
-                raise RemoteError(wire.control_error(response))
-            hello = wire.decode_hello(response, max_frame_size)
+            hello = wire.decode_hello(
+                wire.decode_control_response(frame.payload), max_frame_size
+            )
         except asyncio.TimeoutError as exc:
             await connection.close()
             raise ConnectionLostError(
@@ -210,8 +203,6 @@ class AsyncRemoteConnection:
         except BaseException:
             await connection.close()
             raise
-        connection.server_versions = hello.versions
-        connection.negotiated_version = hello.version
         connection.server_software = hello.software
         connection.server_max_frame_size = hello.max_frame_size
         return connection
@@ -325,7 +316,7 @@ class AsyncRemoteServerProxy(RemoteProxyBase):
     """A remote provider behind one pipelined asyncio connection.
 
     Drop-in for :class:`~repro.net.client.RemoteServerProxy` (same sync
-    duck-type, same constructor shape apart from ``loop`` replacing
+    surface, same constructor shape apart from ``loop`` replacing
     ``pool_size``), plus the ``*_async`` surface for callers that live on
     the event loop -- :meth:`handle_message_async` is also what the
     cluster router keys on to route a scatter over the event loop.
@@ -341,13 +332,11 @@ class AsyncRemoteServerProxy(RemoteProxyBase):
         loop: EventLoopThread | None = None,
         timeout: float | None = 30.0,
         max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
-        client_versions: Sequence[int] = SUPPORTED_VERSIONS,
     ) -> None:
         self._host = host
         self._port = port
         self._timeout = timeout
         self._max_frame_size = max_frame_size
-        self._client_versions = tuple(client_versions)
         self._owns_loop = loop is None
         self._loop_thread = loop if loop is not None else EventLoopThread().start()
         self._conn: AsyncRemoteConnection | None = None
@@ -359,8 +348,6 @@ class AsyncRemoteServerProxy(RemoteProxyBase):
             if self._owns_loop:
                 self._loop_thread.stop()
             raise
-        self._server_versions = connection.server_versions
-        self._negotiated_version = connection.negotiated_version
         self._server_software = connection.server_software
 
     @classmethod
@@ -412,7 +399,6 @@ class AsyncRemoteServerProxy(RemoteProxyBase):
             self._port,
             timeout=self._timeout,
             max_frame_size=self._max_frame_size,
-            client_versions=self._client_versions,
         )
 
     async def _async_close(self) -> None:
@@ -460,13 +446,12 @@ class AsyncRemoteServerProxy(RemoteProxyBase):
     ) -> bytes:
         """Ship one envelope over the pipelined connection.
 
-        ``trace_id`` is attached (rewriting the envelope to protocol v3)
-        only when this session negotiated v3; older providers never see
-        trace bytes.  Coroutines cannot rely on the ambient trace -- the
-        caller captured it on its own thread -- so the id arrives here as
-        an explicit argument.
+        ``trace_id``, when given, is spliced into the envelope's trace
+        field.  Coroutines cannot rely on the ambient trace -- the caller
+        captured it on its own thread -- so the id arrives here as an
+        explicit argument.
         """
-        if trace_id is not None and self._negotiated_version >= PROTOCOL_V3:
+        if trace_id is not None:
             raw = protocol.attach_trace(raw, trace_id)
         frame = await self._acall(raw, CHANNEL_ENVELOPE, idempotent)
         if frame.channel == CHANNEL_CONTROL:
@@ -522,7 +507,7 @@ class AsyncRemoteServerProxy(RemoteProxyBase):
             ) from exc
 
     # ------------------------------------------------------------------ #
-    # Transport primitives for the inherited sync duck-type
+    # Transport primitives for the inherited sync surface
     # ------------------------------------------------------------------ #
 
     def _transport_envelope(self, raw: bytes, idempotent: bool) -> bytes:

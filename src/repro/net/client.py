@@ -1,12 +1,12 @@
 """Client side of the TCP transport: connections, pool, and the proxies.
 
 :class:`RemoteServerProxy` is the piece that makes the network transparent:
-it exposes the same duck-type as
-:class:`~repro.outsourcing.server.OutsourcedDatabaseServer` -- the
-byte-level :meth:`~RemoteProxyBase.handle_message` plus the management
-calls (:meth:`~RemoteProxyBase.register_evaluator`,
+it exposes the provider's request surface -- the byte-level
+:meth:`~RemoteProxyBase.handle_message` that every envelope (and so
+:func:`repro.outsourcing.protocol.request`) goes through -- plus the
+management calls (:meth:`~RemoteProxyBase.register_evaluator`,
 :attr:`~RemoteProxyBase.relation_names`,
-:meth:`~RemoteProxyBase.stored_relation`, ...) -- so
+:meth:`~RemoteProxyBase.stored_relation`, ...), so
 :class:`~repro.api.EncryptedDatabase` and
 :class:`~repro.outsourcing.client.OutsourcingClient` drive a remote
 provider with the code paths they already use in-process.
@@ -19,11 +19,11 @@ protocol logic and differ only in how bytes move.
 
 Connections are blocking sockets behind a bounded :class:`ConnectionPool`,
 so several threads can issue queries concurrently, each on its own
-connection.  Every new connection performs the hello handshake (the server's
-advertised protocol versions feed the session's
-:func:`~repro.outsourcing.protocol.negotiate_version`).  A call that hits a
-dead connection -- the provider restarted, an idle socket timed out -- is
-retried once on a fresh connection before the error surfaces.
+connection.  Every new connection opens with the hello handshake; a
+provider speaking another protocol version is refused with
+:class:`~repro.outsourcing.protocol.ProtocolVersionError`.  A call that
+hits a dead connection -- the provider restarted, an idle socket timed
+out -- is retried once on a fresh connection before the error surfaces.
 
 Errors raised here subclass
 :class:`~repro.outsourcing.server.ServerError`, so the facade's existing
@@ -37,16 +37,9 @@ import contextlib
 import socket
 import threading
 import time
-from typing import Sequence
 from urllib.parse import urlsplit
 
-from repro.core.dph import (
-    EncryptedQuery,
-    EncryptedRelation,
-    EncryptedTuple,
-    EvaluationResult,
-    ServerEvaluator,
-)
+from repro.core.dph import EncryptedRelation, ServerEvaluator
 from repro.net.evaluators import describe_evaluator
 from repro.net.framing import (
     CHANNEL_CONTROL,
@@ -58,15 +51,7 @@ from repro.net.framing import (
 from repro.net import wire
 from repro.obs import current_trace
 from repro.outsourcing import protocol
-from repro.outsourcing.protocol import (
-    Message,
-    MessageKind,
-    MessageV2,
-    PROTOCOL_V1,
-    PROTOCOL_V2,
-    PROTOCOL_V3,
-    SUPPORTED_VERSIONS,
-)
+from repro.outsourcing.protocol import MessageKind, ProtocolError
 from repro.outsourcing.server import ServerError
 
 
@@ -153,7 +138,7 @@ def parse_tcp_url(url: str) -> tuple[str, int]:
 
 
 class RemoteConnection:
-    """One blocking framed connection, hello-negotiated at construction.
+    """One blocking framed connection, hello-checked at construction.
 
     The wire work -- correlation ids, response pairing, hello -- lives in
     the sans-IO :class:`~repro.net.wire.ClientChannel`; this class only
@@ -169,7 +154,6 @@ class RemoteConnection:
         *,
         timeout: float | None = 30.0,
         max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
-        client_versions: Sequence[int] = SUPPORTED_VERSIONS,
     ) -> None:
         self._max_frame_size = max_frame_size
         self._channel = wire.ClientChannel(max_frame_size)
@@ -181,24 +165,26 @@ class RemoteConnection:
             ) from exc
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
-            hello = self.call_control("hello", versions=list(client_versions))
-        except RemoteError:
+            frame = self._round_trip(wire.encode_hello(), CHANNEL_CONTROL)
+            hello = wire.decode_hello(
+                wire.decode_control_response(frame.payload), max_frame_size
+            )
+        except wire.WireProtocolError as exc:
+            self.close()
+            raise RemoteError(str(exc)) from exc
+        except BaseException:
             self.close()
             raise
-        parsed = wire.decode_hello(hello, max_frame_size)
-        self.server_versions: tuple[int, ...] = parsed.versions
-        self.negotiated_version: int = parsed.version
-        self.server_software: str = parsed.software
-        self.server_max_frame_size: int = parsed.max_frame_size
+        self.server_software: str = hello.software
+        self.server_max_frame_size: int = hello.max_frame_size
 
     def call_envelope(self, raw: bytes, trace_id: bytes | None = None) -> bytes:
         """One protocol round trip: envelope bytes out, envelope bytes back.
 
-        ``trace_id`` is attached to the envelope (rewriting it to protocol
-        v3, an O(1) byte splice) only when this connection negotiated v3 --
-        older providers never see trace bytes they could not parse.
+        ``trace_id``, when given, is spliced into the envelope's trace
+        field (an O(1) byte splice) before it leaves.
         """
-        if trace_id is not None and self.negotiated_version >= PROTOCOL_V3:
+        if trace_id is not None:
             raw = protocol.attach_trace(raw, trace_id)
         frame = self._round_trip(raw, CHANNEL_ENVELOPE)
         if frame.channel == CHANNEL_CONTROL:
@@ -346,25 +332,21 @@ class ConnectionPool:
 
 
 class RemoteProxyBase:
-    """The :class:`OutsourcedDatabaseServer` duck-type over two primitives.
+    """The provider's request surface over two transport primitives.
 
     Subclasses provide :meth:`_transport_envelope` (ship one protocol
     envelope, honoring the retry/idempotence contract) and
-    :meth:`_control` (run one management operation); everything else --
-    envelope construction, response validation, the object-level
-    convenience API -- is written once here and shared by the blocking
-    and the pipelined asyncio proxies, so their sync surfaces cannot
-    drift apart.
+    :meth:`_control` (run one management operation); everything else is
+    written once here and shared by the blocking and the pipelined asyncio
+    proxies, so their sync surfaces cannot drift apart.
     """
 
     #: Envelope kinds whose replay would change provider state a second time.
-    #: (STORE_RELATION replaces, DELETE_TUPLES ignores unknown ids, queries
-    #: are read-only -- only INSERT_TUPLE appends blindly.)
+    #: (STORE_RELATION replaces, DELETE_TUPLES_EXACT ignores unknown ids,
+    #: queries are read-only -- only INSERT_TUPLE appends blindly.)
     NON_IDEMPOTENT_KINDS = frozenset({MessageKind.INSERT_TUPLE})
 
-    # Subclasses set these during their handshake.
-    _server_versions: tuple[int, ...]
-    _negotiated_version: int
+    # Subclasses set this during their handshake.
     _server_software: str
 
     # ------------------------------------------------------------------ #
@@ -389,11 +371,6 @@ class RemoteProxyBase:
         """What the provider announced in its hello response."""
         return self._server_software
 
-    @property
-    def supported_protocol_versions(self) -> tuple[int, ...]:
-        """The versions the remote provider advertised at hello time."""
-        return self._server_versions
-
     def __enter__(self):
         return self
 
@@ -401,7 +378,7 @@ class RemoteProxyBase:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # The OutsourcedDatabaseServer duck-type
+    # The provider's request surface
     # ------------------------------------------------------------------ #
 
     def handle_message(self, raw: bytes) -> bytes:
@@ -439,19 +416,16 @@ class RemoteProxyBase:
     def list_tuple_ids(self, name: str) -> tuple[bytes, ...]:
         """The public tuple ids a relation stores, without its ciphertexts.
 
-        ``O(ids)`` bytes over the wire via the v2 ``LIST_TUPLE_IDS`` op --
-        what replicated coordinators use to count distinct tuples without
-        fetching whole stored relations.  Against a v1-only provider the
-        ids are derived from the fetched relation instead (correct, just
-        as expensive as before the op existed).
+        ``O(ids)`` bytes over the wire via ``LIST_TUPLE_IDS`` -- what
+        replicated coordinators use to count distinct tuples without
+        fetching whole stored relations.
         """
-        if self._negotiated_version < PROTOCOL_V2:
-            return tuple(
-                t.tuple_id for t in self.stored_relation(name).encrypted_tuples
+        try:
+            response = protocol.request(
+                self, MessageKind.LIST_TUPLE_IDS, name, expect=MessageKind.TUPLE_IDS
             )
-        response = self._request(
-            MessageKind.LIST_TUPLE_IDS, name, b"", expect=MessageKind.TUPLE_IDS
-        )
+        except ProtocolError as exc:
+            raise RemoteError(str(exc)) from exc
         return protocol.decode_tuple_ids(response.body)
 
     def drop_relation(self, name: str) -> None:
@@ -461,83 +435,6 @@ class RemoteProxyBase:
         would surface a spurious "no such relation" error.
         """
         self._control("drop-relation", relation=name, idempotent=False)
-
-    # ------------------------------------------------------------------ #
-    # Object-level convenience API (what OutsourcingClient uses)
-    # ------------------------------------------------------------------ #
-
-    def store_relation(
-        self,
-        name: str,
-        encrypted_relation: EncryptedRelation,
-        evaluator: ServerEvaluator,
-    ) -> None:
-        """Deploy the evaluator, then ship the relation in one envelope."""
-        self.register_evaluator(name, evaluator)
-        self._request(
-            MessageKind.STORE_RELATION,
-            name,
-            protocol.encode_encrypted_relation(encrypted_relation),
-            expect=MessageKind.ACK,
-        )
-
-    def insert_tuple(self, name: str, encrypted_tuple: EncryptedTuple) -> None:
-        """Append one tuple ciphertext."""
-        self._request(
-            MessageKind.INSERT_TUPLE,
-            name,
-            protocol.encode_encrypted_tuple(encrypted_tuple),
-            expect=MessageKind.ACK,
-        )
-
-    def execute_query(self, name: str, encrypted_query: EncryptedQuery) -> EvaluationResult:
-        """Run one encrypted query remotely."""
-        response = self._request(
-            MessageKind.QUERY,
-            name,
-            protocol.encode_encrypted_query(encrypted_query),
-            expect=MessageKind.QUERY_RESULT,
-        )
-        if response.version == PROTOCOL_V1:
-            return EvaluationResult(
-                matching=protocol.decode_encrypted_relation(response.body)
-            )
-        result, consumed = protocol.decode_evaluation_result(response.body)
-        if consumed != len(response.body):
-            raise RemoteError("trailing bytes after evaluation result")
-        return result
-
-    def delete_tuples(self, name: str, tuple_ids: Sequence[bytes]) -> int:
-        """Delete tuple ciphertexts by public id; returns the provider's count."""
-        response = self._request(
-            MessageKind.DELETE_TUPLES,
-            name,
-            protocol.encode_tuple_ids(list(tuple_ids)),
-            expect=MessageKind.ACK,
-        )
-        return protocol.decode_count(response.body)
-
-    def delete_tuples_exact(self, name: str, tuple_ids: Sequence[bytes]) -> tuple[bytes, ...]:
-        """Delete by public id and learn exactly which ids were live."""
-        response = self._request(
-            MessageKind.DELETE_TUPLES_EXACT,
-            name,
-            protocol.encode_tuple_ids(list(tuple_ids)),
-            expect=MessageKind.TUPLE_IDS,
-        )
-        return protocol.decode_tuple_ids(response.body)
-
-    def execute_batch(
-        self, name: str, encrypted_queries: Sequence[EncryptedQuery]
-    ) -> list[EvaluationResult]:
-        """Run several encrypted queries in one round trip."""
-        response = self._request(
-            MessageKind.BATCH_QUERY,
-            name,
-            protocol.encode_query_batch(encrypted_queries),
-            expect=MessageKind.BATCH_RESULT,
-        )
-        return list(protocol.decode_result_batch(response.body))
 
     # ------------------------------------------------------------------ #
     # Diagnostics
@@ -576,26 +473,6 @@ class RemoteProxyBase:
         response = self._control("trace", limit=limit)
         return {key: value for key, value in response.items() if key != "ok"}
 
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-
-    def _request(
-        self, kind: MessageKind, relation_name: str, body: bytes, expect: MessageKind
-    ) -> Message | MessageV2:
-        envelope = Message if self._negotiated_version == PROTOCOL_V1 else MessageV2
-        raw = self.handle_message(
-            envelope(kind=kind, relation_name=relation_name, body=body).to_bytes()
-        )
-        response = protocol.parse_message(raw)
-        if response.kind is MessageKind.ERROR:
-            raise RemoteError(response.body.decode("utf-8", "replace"))
-        if response.kind is not expect:
-            raise RemoteError(
-                f"expected {expect.value!r} response, got {response.kind.value!r}"
-            )
-        return response
-
 
 class RemoteServerProxy(RemoteProxyBase):
     """A remote provider behind a pool of blocking connections."""
@@ -608,19 +485,15 @@ class RemoteServerProxy(RemoteProxyBase):
         pool_size: int = 4,
         timeout: float | None = 30.0,
         max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
-        client_versions: Sequence[int] = SUPPORTED_VERSIONS,
     ) -> None:
         self._host = host
         self._port = port
         self._timeout = timeout
         self._max_frame_size = max_frame_size
-        self._client_versions = tuple(client_versions)
         self._pool = ConnectionPool(self._new_connection, max_size=pool_size)
-        # Handshake eagerly: fail fast on a bad address, and learn the
-        # server's protocol versions for the session's negotiation.
+        # Handshake eagerly: fail fast on a bad address or a provider that
+        # speaks another protocol version.
         with self._pool.checkout() as connection:
-            self._server_versions = connection.server_versions
-            self._negotiated_version = connection.negotiated_version
             self._server_software = connection.server_software
 
     @classmethod
@@ -654,7 +527,6 @@ class RemoteServerProxy(RemoteProxyBase):
             self._port,
             timeout=self._timeout,
             max_frame_size=self._max_frame_size,
-            client_versions=self._client_versions,
         )
 
     def _call(self, operation, idempotent: bool = True):

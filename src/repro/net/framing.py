@@ -13,8 +13,8 @@ payload.  The channel byte multiplexes two kinds of traffic over one
 connection:
 
 * :data:`CHANNEL_ENVELOPE` -- the payload is a protocol envelope exactly as
-  :func:`repro.outsourcing.protocol.parse_message` consumes it (v1 or v2);
-  the transport never inspects it.
+  :func:`repro.outsourcing.protocol.parse_message` consumes it; the
+  transport never inspects it.
 * :data:`CHANNEL_CONTROL` -- the payload is a JSON control message of the
   session layer: the hello/version handshake and the management operations
   (evaluator deployment, relation listing, drops) that the in-process API

@@ -6,9 +6,10 @@ listening socket.  Each accepted connection is an independent asyncio task
 that speaks the framing of :mod:`repro.net.framing`:
 
 * the connection opens with a mandatory **hello** control exchange that
-  negotiates the protocol version
-  (:func:`repro.outsourcing.protocol.negotiate_version`) and advertises the
-  server's frame-size limit;
+  checks the client speaks
+  :data:`~repro.outsourcing.protocol.PROTOCOL_VERSION` (any other version
+  is refused and only that connection closed) and advertises the server's
+  frame-size limit;
 * **envelope** frames are forwarded verbatim to
   :meth:`~repro.outsourcing.server.OutsourcedDatabaseServer.handle_message`
   on the dispatch pool;
@@ -77,7 +78,7 @@ from repro.net.framing import (
     FramingError,
 )
 from repro.outsourcing import protocol
-from repro.outsourcing.protocol import ProtocolError, negotiate_version
+from repro.outsourcing.protocol import PROTOCOL_VERSION, ProtocolError
 from repro.outsourcing.server import OutsourcedDatabaseServer, ServerError
 from repro.outsourcing.storage import StorageError
 
@@ -203,7 +204,8 @@ class ConnectionStats:
     bytes_sent: int = 0
     envelope_frames: int = 0
     control_frames: int = 0
-    negotiated_version: int | None = None
+    #: True once the connection's hello was accepted.
+    greeted: bool = False
     #: Requests admitted but not yet answered (shutdown only waits for
     #: connections with in-flight work).
     in_flight: int = 0
@@ -553,7 +555,7 @@ class DatabaseTcpServer:
                 return await self._serve_hello(
                     writer, connection, request, frame.correlation
                 )
-            if connection.negotiated_version is None:
+            if not connection.greeted:
                 await self._send_control(
                     writer,
                     connection,
@@ -574,7 +576,7 @@ class DatabaseTcpServer:
             return True
         connection.envelope_frames += 1
         self._stats.inc("envelope_frames")
-        if connection.negotiated_version is None:
+        if not connection.greeted:
             await self._send_control(
                 writer,
                 connection,
@@ -643,7 +645,7 @@ class DatabaseTcpServer:
 
         Runs after the FIFO queue, so ``now - submitted_mono`` is the time
         the request spent waiting behind same-relation work.  When the
-        envelope carries a v3 trace id the whole dispatch executes under
+        envelope carries a trace id the whole dispatch executes under
         that trace, producing the server-side span and feeding the trace
         buffer and slow-query log.
         """
@@ -714,9 +716,6 @@ class DatabaseTcpServer:
     ) -> bool:
         try:
             client_versions = [int(v) for v in request["versions"]]
-            version = negotiate_version(
-                client_versions, self._database.supported_protocol_versions
-            )
         except (KeyError, TypeError, ValueError) as exc:
             await self._send_control(
                 writer,
@@ -725,22 +724,28 @@ class DatabaseTcpServer:
                 correlation=correlation,
             )
             return False
-        except ProtocolError as exc:
+        if PROTOCOL_VERSION not in client_versions:
+            # The refusal lists what this provider speaks, so the client
+            # can raise a typed version error without reading the text.
             await self._send_control(
                 writer,
                 connection,
-                {"ok": False, "error": str(exc)},
+                {
+                    "ok": False,
+                    "error": f"no common protocol version (client "
+                    f"{client_versions}, provider {PROTOCOL_VERSION})",
+                    "versions": [PROTOCOL_VERSION],
+                },
                 correlation=correlation,
             )
             return False
-        connection.negotiated_version = version
+        connection.greeted = True
         await self._send_control(
             writer,
             connection,
             {
                 "ok": True,
-                "version": version,
-                "versions": list(self._database.supported_protocol_versions),
+                "version": PROTOCOL_VERSION,
                 "server": SERVER_SOFTWARE,
                 "max_frame_size": self._max_frame_size,
             },

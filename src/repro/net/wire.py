@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 from repro.net.framing import (
     CHANNEL_CONTROL,
@@ -34,6 +34,7 @@ from repro.net.framing import (
     MAX_CORRELATION_ID,
     encode_frame,
 )
+from repro.outsourcing.protocol import PROTOCOL_VERSION, ProtocolVersionError
 
 
 class WireProtocolError(FramingError):
@@ -152,15 +153,13 @@ class ClientChannel:
 class ServerHello:
     """What the provider announced in its hello response."""
 
-    version: int
-    versions: tuple[int, ...]
     software: str
     max_frame_size: int
 
 
-def encode_hello(client_versions: Sequence[int]) -> bytes:
+def encode_hello() -> bytes:
     """The hello control request opening every connection."""
-    return encode_control_request("hello", versions=[int(v) for v in client_versions])
+    return encode_control_request("hello", versions=[PROTOCOL_VERSION])
 
 
 def encode_control_request(op: str, **fields) -> bytes:
@@ -190,11 +189,30 @@ def control_error(response: dict) -> str:
 
 
 def decode_hello(response: dict, fallback_max_frame_size: int) -> ServerHello:
-    """Extract the negotiated session parameters from an ``ok`` hello."""
+    """Extract the session parameters from a hello response.
+
+    Raises :class:`~repro.outsourcing.protocol.ProtocolVersionError` when
+    the provider speaks another version -- its refusal lists the versions
+    it speaks, its acceptance names the one it chose -- and
+    :class:`WireProtocolError` when it refused for any other reason or
+    answered something malformed.
+    """
+    try:
+        if response.get("ok"):
+            spoken = [int(response["version"])]
+        else:
+            spoken = [int(v) for v in response.get("versions", [PROTOCOL_VERSION])]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WireProtocolError(f"malformed hello response: {exc}") from exc
+    if PROTOCOL_VERSION not in spoken:
+        raise ProtocolVersionError(
+            f"the provider speaks protocol version(s) {spoken}, this client "
+            f"speaks {PROTOCOL_VERSION}"
+        )
+    if not response.get("ok"):
+        raise WireProtocolError(control_error(response))
     try:
         return ServerHello(
-            version=int(response["version"]),
-            versions=tuple(int(v) for v in response.get("versions", ())),
             software=str(response.get("server", "unknown")),
             max_frame_size=int(
                 response.get("max_frame_size", fallback_max_frame_size)

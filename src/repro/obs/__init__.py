@@ -9,7 +9,7 @@ Dependency-free instrumentation shared by every layer of the reproduction:
   ``ClusterStats``, index stats) are facades over one of these registries,
   so every pre-existing counter survives under its old name.
 * :mod:`repro.obs.trace` -- 16-byte trace ids propagated end-to-end in the
-  protocol-v3 envelope, an ambient current-trace context, spans recorded
+  envelope's trace field, an ambient current-trace context, spans recorded
   at every serving layer, a bounded :class:`TraceBuffer` of completed
   traces and a threshold-based :class:`SlowQueryLog`.
 * :mod:`repro.obs.logging` -- one-line structured JSON log records for

@@ -1,7 +1,7 @@
 """End-to-end tracing: trace ids, spans, an ambient current trace.
 
 A **trace id** is 16 random bytes minted once per session operation
-(:func:`new_trace_id`).  The id rides the protocol-v3 envelope to every
+(:func:`new_trace_id`).  The id rides the envelope's trace field to every
 provider the operation touches (see
 :func:`repro.outsourcing.protocol.attach_trace`), so each process can
 record **spans** -- named, annotated time intervals -- against the same id
@@ -32,8 +32,8 @@ import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
-#: Size of a trace id in bytes (fixed: the v3 envelope appends exactly this
-#: many trailing bytes, which is what makes the O(1) attach/peek possible).
+#: Size of a trace id in bytes (fixed: every envelope ends with exactly this
+#: many bytes, which is what makes the O(1) attach/peek possible).
 TRACE_ID_SIZE = 16
 
 

@@ -15,19 +15,19 @@ socket (``repro serve``) without this package knowing about it.
 from repro.outsourcing.audit import AuditEvent, AuditEventKind, ServerAuditLog
 from repro.outsourcing.client import ClientError, OutsourcingClient, SelectOutcome
 from repro.outsourcing.protocol import (
+    ErrorReply,
     Message,
     MessageKind,
-    MessageV2,
-    PROTOCOL_V1,
-    PROTOCOL_V2,
+    PROTOCOL_VERSION,
     ProtocolError,
-    SUPPORTED_VERSIONS,
+    ProtocolVersionError,
     decode_count,
     decode_encrypted_query,
     decode_encrypted_relation,
     decode_encrypted_tuple,
     decode_evaluation_result,
     decode_query_batch,
+    decode_query_result,
     decode_result_batch,
     decode_tuple_ids,
     encode_count,
@@ -38,9 +38,8 @@ from repro.outsourcing.protocol import (
     encode_query_batch,
     encode_result_batch,
     encode_tuple_ids,
-    negotiate_version,
     parse_message,
-    peek_version,
+    request,
 )
 from repro.outsourcing.server import (
     OutsourcedDatabaseServer,
@@ -61,19 +60,19 @@ __all__ = [
     "ClientError",
     "OutsourcingClient",
     "SelectOutcome",
+    "ErrorReply",
     "Message",
     "MessageKind",
-    "MessageV2",
-    "PROTOCOL_V1",
-    "PROTOCOL_V2",
+    "PROTOCOL_VERSION",
     "ProtocolError",
-    "SUPPORTED_VERSIONS",
+    "ProtocolVersionError",
     "decode_count",
     "decode_encrypted_query",
     "decode_encrypted_relation",
     "decode_encrypted_tuple",
     "decode_evaluation_result",
     "decode_query_batch",
+    "decode_query_result",
     "decode_result_batch",
     "decode_tuple_ids",
     "encode_count",
@@ -84,9 +83,8 @@ __all__ = [
     "encode_query_batch",
     "encode_result_batch",
     "encode_tuple_ids",
-    "negotiate_version",
     "parse_message",
-    "peek_version",
+    "request",
     "OutsourcedDatabaseServer",
     "ServerError",
     "StoredRelation",

@@ -14,7 +14,11 @@ operations an application would actually use:
   full copy.
 
 All post-processing the paper assigns to Alex -- decryption, mapping words
-back to tuples, and filtering false positives -- happens here.
+back to tuples, and filtering false positives -- happens here.  Every data
+operation travels as an envelope through
+:func:`repro.outsourcing.protocol.request`, so the client drives an
+in-process provider, a TCP proxy and a shard router alike; provider
+failures surface as :class:`~repro.outsourcing.server.ServerError`.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ from repro.core.dph import (
     DecryptionReport,
     EvaluationResult,
 )
-from repro.outsourcing.server import OutsourcedDatabaseServer
+from repro.outsourcing import protocol
+from repro.outsourcing.protocol import MessageKind, ProtocolError
+from repro.outsourcing.server import OutsourcedDatabaseServer, ServerError
 from repro.relational.query import Projection, Query
 from repro.relational.relation import Relation
 from repro.relational.sql import parse_sql
@@ -90,8 +96,13 @@ class OutsourcingClient:
         if relation.schema != self._dph.schema:
             raise ClientError("relation schema does not match the scheme's schema")
         encrypted = self._dph.encrypt_relation(relation)
-        self._server.store_relation(
-            self._relation_name, encrypted, self._dph.server_evaluator()
+        self._server.register_evaluator(
+            self._relation_name, self._dph.server_evaluator()
+        )
+        self._request(
+            MessageKind.STORE_RELATION,
+            protocol.encode_encrypted_relation(encrypted),
+            MessageKind.ACK,
         )
         return encrypted.size_in_bytes()
 
@@ -104,13 +115,22 @@ class OutsourcingClient:
             raise ClientError(
                 f"scheme {self._dph.name!r} does not support single-tuple inserts"
             )
-        self._server.insert_tuple(self._relation_name, encrypt_tuple(values))
+        self._request(
+            MessageKind.INSERT_TUPLE,
+            protocol.encode_encrypted_tuple(encrypt_tuple(values)),
+            MessageKind.ACK,
+        )
 
     def select(self, query: Query | str) -> SelectOutcome:
         """Issue an exact select and return the decrypted, filtered result."""
         parsed = self._parse(query)
         encrypted_query = self._dph.encrypt_query(parsed)
-        evaluation = self._server.execute_query(self._relation_name, encrypted_query)
+        response = self._request(
+            MessageKind.QUERY,
+            protocol.encode_encrypted_query(encrypted_query),
+            MessageKind.QUERY_RESULT,
+        )
+        evaluation = protocol.decode_query_result(response.body)
         report = self._dph.decrypt_result(evaluation, parsed)
         projected = None
         if isinstance(parsed, Projection) and parsed.attributes:
@@ -121,6 +141,14 @@ class OutsourcingClient:
         """Fetch the provider's full copy and decrypt it."""
         stored = self._server.stored_relation(self._relation_name)
         return self._dph.decrypt_relation(stored)
+
+    def _request(self, kind: MessageKind, body: bytes, expect: MessageKind):
+        try:
+            return protocol.request(
+                self._server, kind, self._relation_name, body, expect=expect
+            )
+        except ProtocolError as exc:
+            raise ServerError(str(exc)) from exc
 
     def _parse(self, query: Query | str) -> Query:
         if isinstance(query, str):

@@ -6,32 +6,23 @@ so the protocol layer is genuinely message-based (and so the storage /
 bandwidth overhead experiments E8-E9 measure realistic serialized sizes, not
 Python object graphs).
 
-Two envelope versions coexist:
+Every request and response travels in one envelope, :class:`Message`::
 
-* **v1** (:class:`Message`) -- the original three-operation protocol
-  (``STORE_RELATION`` / ``INSERT_TUPLE`` / ``QUERY``), kept byte-compatible
-  for existing deployments.
-* **v2** (:class:`MessageV2`) -- a magic-prefixed, versioned envelope adding
-  the full-CRUD operations: tuple-id-addressed ``DELETE_TUPLES``,
-  multi-query ``BATCH_QUERY`` and the metadata read ``LIST_TUPLE_IDS``
-  (answered with ``TUPLE_IDS``, the public ids without their ciphertexts),
-  plus ``ACK`` responses carrying counts and query results that include the
-  server's evaluation statistics.
+    DPH | version (1 byte, = PROTOCOL_VERSION) | kind | relation_name | body | trace id
 
-* **v3** -- byte-for-byte the v2 layout with version byte ``3`` and exactly
-  :data:`TRACE_ID_SIZE` trailing bytes carrying a trace id (see
-  :mod:`repro.obs.trace`).  The fixed trailing length makes trace handling
-  O(1) on raw frames: :func:`attach_trace` upgrades a serialized v2
-  envelope without re-encoding it, :func:`peek_trace_id` reads the id
-  without parsing, and :func:`strip_trace` downgrades back to v2.
-  Responses never carry trace ids; only requests do.
+with the usual 4-byte length prefixes on the three variable parts and
+exactly :data:`TRACE_ID_SIZE` trailing bytes carrying a trace id (see
+:mod:`repro.obs.trace`); an all-zero id means untraced, and responses are
+always untraced.  The fixed trailing length keeps trace handling O(1) on
+raw frames: :func:`attach_trace` splices an id into a serialized envelope
+without re-encoding it and :func:`peek_trace_id` reads it without parsing.
+A frame with another version byte is refused with
+:class:`ProtocolVersionError`.
 
-:func:`peek_version` distinguishes the versions on the wire (v1 envelopes
-start with a 4-byte length prefix whose leading bytes are zero; v2+
-envelopes start with :data:`V2_MAGIC` followed by the version byte), and
-:func:`negotiate_version` picks the highest version both endpoints
-support -- a v1 or pre-trace v2 peer simply never negotiates v3, so mixed
-fleets degrade to untraced envelopes shard by shard.
+:func:`request` is the one request seam: build an envelope, hand it to a
+provider's ``handle_message`` (an in-process server, a TCP proxy or a
+shard router), parse the reply and check its kind.  An ``ERROR`` reply
+raises :class:`ErrorReply`, which callers wrap in their own error type.
 
 Encoding conventions: all integers are big-endian; variable-length byte
 strings are length-prefixed with 4 bytes; sequences are prefixed with a
@@ -52,23 +43,35 @@ from repro.core.dph import (
 )
 from repro.relational.schema import RelationSchema
 
-#: Protocol versions this module can speak.
-PROTOCOL_V1 = 1
-PROTOCOL_V2 = 2
-PROTOCOL_V3 = 3
-SUPPORTED_VERSIONS = (PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_V3)
+#: The envelope version this module speaks (the only one).
+PROTOCOL_VERSION = 3
 
-#: Size of the trace id a v3 envelope carries as its trailing bytes.
+#: Size of the trace id every envelope carries as its trailing bytes.
 TRACE_ID_SIZE = 16
 
-#: Leading magic of versioned (v2+) envelopes.  A v1 envelope starts with the
-#: 4-byte big-endian length of its kind string (< 2**16), so its first byte is
-#: always ``0x00`` and the two framings cannot collide.
-V2_MAGIC = b"DPH"
+#: The trace id of an untraced envelope.
+UNTRACED = bytes(TRACE_ID_SIZE)
+
+#: Leading magic of every envelope.
+MAGIC = b"DPH"
+
+_HEADER = MAGIC + bytes([PROTOCOL_VERSION])
 
 
 class ProtocolError(Exception):
     """A message could not be encoded or decoded."""
+
+
+class ProtocolVersionError(ProtocolError):
+    """The peer speaks another protocol version than :data:`PROTOCOL_VERSION`."""
+
+
+class ErrorReply(ProtocolError):
+    """The provider answered a request with an ``ERROR`` envelope.
+
+    The message is the provider's error text; callers wrap this in their
+    own public error type.
+    """
 
 
 # --------------------------------------------------------------------------- #
@@ -188,16 +191,16 @@ def _schema_declaration(schema: RelationSchema) -> str:
 
 
 # --------------------------------------------------------------------------- #
-# Protocol-v2 body codecs
+# Body codecs
 # --------------------------------------------------------------------------- #
 
 def encode_tuple_ids(tuple_ids: Sequence[bytes]) -> bytes:
-    """Serialize an id list (``DELETE_TUPLES`` request / ``TUPLE_IDS`` response)."""
+    """Serialize an id list (a ``DELETE_TUPLES_EXACT`` or ``TUPLE_IDS`` body)."""
     return _encode_sequence(list(tuple_ids))
 
 
 def decode_tuple_ids(raw: bytes) -> tuple[bytes, ...]:
-    """Parse a ``DELETE_TUPLES`` or ``TUPLE_IDS`` body."""
+    """Parse a ``DELETE_TUPLES_EXACT`` or ``TUPLE_IDS`` body."""
     ids, offset = _decode_sequence(raw, 0)
     if offset != len(raw):
         raise ProtocolError("trailing bytes after tuple id list")
@@ -241,6 +244,14 @@ def decode_evaluation_result(raw: bytes, offset: int = 0) -> tuple[EvaluationRes
         ),
         offset + 16,
     )
+
+
+def decode_query_result(raw: bytes) -> EvaluationResult:
+    """Parse a ``QUERY_RESULT`` body (exactly one evaluation result)."""
+    result, consumed = decode_evaluation_result(raw)
+    if consumed != len(raw):
+        raise ProtocolError("trailing bytes after evaluation result")
+    return result
 
 
 def encode_result_batch(results: Iterable[EvaluationResult]) -> bytes:
@@ -289,8 +300,6 @@ class MessageKind(Enum):
     QUERY_RESULT = "query-result"
     ERROR = "error"
     ACK = "ack"
-    # v2-only kinds:
-    DELETE_TUPLES = "delete-tuples"
     BATCH_QUERY = "batch-query"
     BATCH_RESULT = "batch-result"
     LIST_TUPLE_IDS = "list-tuple-ids"
@@ -301,37 +310,23 @@ class MessageKind(Enum):
     INDEX_LOOKUP = "index-lookup"
 
 
-#: Kinds that may only travel inside a version >= 2 envelope.
-V2_ONLY_KINDS = frozenset(
-    {
-        MessageKind.DELETE_TUPLES,
-        MessageKind.BATCH_QUERY,
-        MessageKind.BATCH_RESULT,
-        MessageKind.LIST_TUPLE_IDS,
-        MessageKind.TUPLE_IDS,
-        MessageKind.DELETE_TUPLES_EXACT,
-        MessageKind.INDEX_PUT,
-        MessageKind.INDEX_DELTA,
-        MessageKind.INDEX_LOOKUP,
-    }
-)
+def _check_header(raw: bytes) -> None:
+    """Reject foreign magic, other versions and frames too short for a trace id."""
+    if raw[: len(MAGIC)] != MAGIC or len(raw) < len(_HEADER):
+        raise ProtocolError("not a protocol envelope")
+    version = raw[len(MAGIC)]
+    if version != PROTOCOL_VERSION:
+        raise ProtocolVersionError(
+            f"unsupported protocol version {version} (this build speaks "
+            f"{PROTOCOL_VERSION})"
+        )
+    if len(raw) < len(_HEADER) + TRACE_ID_SIZE:
+        raise ProtocolError("truncated trace id")
 
 
-def _decode_envelope_fields(
-    raw: bytes, offset: int, end: int | None = None
-) -> tuple[MessageKind, str, bytes]:
-    """Parse the ``kind | relation_name | body`` triple shared by all envelopes.
-
-    ``end`` bounds the envelope fields when the frame carries trailing
-    trace bytes (v3); it defaults to the end of ``raw``.
-    """
-    if end is None:
-        end = len(raw)
-    kind_bytes, offset = _decode_bytes(raw, offset)
-    name_bytes, offset = _decode_bytes(raw, offset)
-    body, offset = _decode_bytes(raw, offset)
-    if offset != end:
-        raise ProtocolError("trailing bytes after message")
+def _decode_kind_and_name(
+    kind_bytes: bytes, name_bytes: bytes
+) -> tuple[MessageKind, str]:
     try:
         kind = MessageKind(kind_bytes.decode("utf-8"))
     except ValueError as exc:  # covers UnicodeDecodeError too
@@ -340,49 +335,14 @@ def _decode_envelope_fields(
         relation_name = name_bytes.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ProtocolError(f"relation name {name_bytes!r} is not valid UTF-8") from exc
-    return kind, relation_name, body
+    return kind, relation_name
 
 
 @dataclass(frozen=True)
 class Message:
-    """A v1 protocol message: a kind, a target relation name, and a ciphertext body."""
+    """One protocol envelope: a kind, a target relation, a body, a trace id.
 
-    kind: MessageKind
-    relation_name: str
-    body: bytes = b""
-
-    @property
-    def version(self) -> int:
-        """The envelope version (uniform access shared with :class:`MessageV2`)."""
-        return PROTOCOL_V1
-
-    def to_bytes(self) -> bytes:
-        """Serialize the envelope."""
-        return (
-            _encode_bytes(self.kind.value.encode("utf-8"))
-            + _encode_bytes(self.relation_name.encode("utf-8"))
-            + _encode_bytes(self.body)
-        )
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "Message":
-        """Parse an envelope."""
-        kind, relation_name, body = _decode_envelope_fields(raw, 0)
-        if kind in V2_ONLY_KINDS:
-            raise ProtocolError(
-                f"message kind {kind.value!r} requires protocol version >= 2"
-            )
-        return cls(kind=kind, relation_name=relation_name, body=body)
-
-
-@dataclass(frozen=True)
-class MessageV2:
-    """A versioned (v2/v3) protocol message.
-
-    The frame is ``V2_MAGIC | version (1 byte) | kind | relation_name | body``
-    with the usual length prefixes on the three variable parts.  When
-    ``trace_id`` is set the envelope serializes as v3: the same layout with
-    version byte ``3`` and the :data:`TRACE_ID_SIZE` id bytes appended.
+    ``trace_id`` is None for an untraced envelope (all-zero on the wire).
     """
 
     kind: MessageKind
@@ -390,89 +350,59 @@ class MessageV2:
     body: bytes = b""
     trace_id: bytes | None = None
 
-    @property
-    def version(self) -> int:
-        """The envelope version (3 when a trace id rides along)."""
-        return PROTOCOL_V2 if self.trace_id is None else PROTOCOL_V3
-
     def to_bytes(self) -> bytes:
         """Serialize the envelope."""
-        if self.trace_id is not None and len(self.trace_id) != TRACE_ID_SIZE:
+        trace_id = UNTRACED if self.trace_id is None else self.trace_id
+        if len(trace_id) != TRACE_ID_SIZE:
             raise ProtocolError(
-                f"trace ids are {TRACE_ID_SIZE} bytes, got {len(self.trace_id)}"
+                f"trace ids are {TRACE_ID_SIZE} bytes, got {len(trace_id)}"
             )
         return (
-            V2_MAGIC
-            + bytes([self.version])
+            _HEADER
             + _encode_bytes(self.kind.value.encode("utf-8"))
             + _encode_bytes(self.relation_name.encode("utf-8"))
             + _encode_bytes(self.body)
-            + (self.trace_id or b"")
+            + trace_id
         )
 
     @classmethod
-    def from_bytes(cls, raw: bytes) -> "MessageV2":
-        """Parse an envelope, rejecting foreign magic and unknown versions."""
-        header = len(V2_MAGIC) + 1
-        if len(raw) < header or raw[: len(V2_MAGIC)] != V2_MAGIC:
-            raise ProtocolError("not a versioned protocol envelope")
-        version = raw[len(V2_MAGIC)]
-        if version not in (PROTOCOL_V2, PROTOCOL_V3):
-            raise ProtocolError(f"unsupported protocol version {version}")
-        trace_id = None
-        end = len(raw)
-        if version == PROTOCOL_V3:
-            if len(raw) < header + TRACE_ID_SIZE:
-                raise ProtocolError("truncated trace id")
-            end -= TRACE_ID_SIZE
-            trace_id = raw[end:]
-        kind, relation_name, body = _decode_envelope_fields(raw, header, end)
+    def from_bytes(cls, raw: bytes) -> "Message":
+        """Parse an envelope, rejecting foreign magic and other versions."""
+        _check_header(raw)
+        end = len(raw) - TRACE_ID_SIZE
+        kind_bytes, offset = _decode_bytes(raw, len(_HEADER))
+        name_bytes, offset = _decode_bytes(raw, offset)
+        body, offset = _decode_bytes(raw, offset)
+        if offset != end:
+            raise ProtocolError("trailing bytes after message")
+        kind, relation_name = _decode_kind_and_name(kind_bytes, name_bytes)
+        trace_id = raw[end:]
         return cls(
-            kind=kind, relation_name=relation_name, body=body, trace_id=trace_id
+            kind=kind,
+            relation_name=relation_name,
+            body=body,
+            trace_id=None if trace_id == UNTRACED else trace_id,
         )
 
 
-def peek_version(raw: bytes) -> int:
-    """The envelope version of a raw frame, without parsing the payload.
-
-    Versioned envelopes announce themselves with :data:`V2_MAGIC`; anything
-    else is treated as a legacy v1 frame (whose own parser still validates it).
-    """
-    if raw[: len(V2_MAGIC)] == V2_MAGIC:
-        if len(raw) < len(V2_MAGIC) + 1:
-            raise ProtocolError("truncated versioned envelope")
-        return raw[len(V2_MAGIC)]
-    return PROTOCOL_V1
-
-
-def parse_message(raw: bytes) -> "Message | MessageV2":
-    """Parse a frame of either envelope version."""
-    version = peek_version(raw)
-    if version == PROTOCOL_V1:
-        return Message.from_bytes(raw)
-    return MessageV2.from_bytes(raw)
+def parse_message(raw: bytes) -> Message:
+    """Parse one envelope."""
+    return Message.from_bytes(raw)
 
 
 def peek_envelope(raw: bytes) -> tuple[int, MessageKind, str]:
     """Validate an envelope's structure without copying its body.
 
     Returns ``(version, kind, relation_name)``.  Performs every structural
-    check the full parsers do -- magic/version, kind validity (including
-    the v2-only rule), name decoding, the body's length prefix accounting
-    for exactly the remaining bytes -- but never slices the body, so a
-    dispatcher can learn an envelope's routing key at ``O(header)`` cost
-    even for a frame carrying a whole relation.
+    check the full parser does -- magic and version, kind validity, name
+    decoding, the body's length prefix accounting for exactly the bytes
+    before the trace id -- but never slices the body, so a dispatcher can
+    learn an envelope's routing key at ``O(header)`` cost even for a frame
+    carrying a whole relation.
     """
-    version = peek_version(raw)
-    offset = 0 if version == PROTOCOL_V1 else len(V2_MAGIC) + 1
-    if version not in SUPPORTED_VERSIONS:
-        raise ProtocolError(f"unsupported protocol version {version}")
-    end = len(raw)
-    if version == PROTOCOL_V3:
-        if end < offset + TRACE_ID_SIZE:
-            raise ProtocolError("truncated trace id")
-        end -= TRACE_ID_SIZE
-    kind_bytes, offset = _decode_bytes(raw, offset)
+    _check_header(raw)
+    end = len(raw) - TRACE_ID_SIZE
+    kind_bytes, offset = _decode_bytes(raw, len(_HEADER))
     name_bytes, offset = _decode_bytes(raw, offset)
     if offset + 4 > len(raw):
         raise ProtocolError("truncated length prefix")
@@ -481,77 +411,66 @@ def peek_envelope(raw: bytes) -> tuple[int, MessageKind, str]:
         raise ProtocolError("trailing bytes after message")
     if offset + 4 + body_length > end:
         raise ProtocolError("truncated byte string")
-    try:
-        kind = MessageKind(kind_bytes.decode("utf-8"))
-    except ValueError as exc:  # covers UnicodeDecodeError too
-        raise ProtocolError(f"unknown message kind {kind_bytes!r}") from exc
-    if version == PROTOCOL_V1 and kind in V2_ONLY_KINDS:
-        raise ProtocolError(
-            f"message kind {kind.value!r} requires protocol version >= 2"
-        )
-    try:
-        relation_name = name_bytes.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"relation name {name_bytes!r} is not valid UTF-8") from exc
-    return version, kind, relation_name
+    kind, relation_name = _decode_kind_and_name(kind_bytes, name_bytes)
+    return PROTOCOL_VERSION, kind, relation_name
 
 
 def attach_trace(raw: bytes, trace_id: bytes) -> bytes:
-    """Upgrade a serialized v2 envelope to v3, appending ``trace_id``.
+    """Splice ``trace_id`` into a serialized untraced envelope.
 
-    O(1) on the frame structure -- the version byte flips and the id bytes
-    are appended; the kind/name/body encoding is reused verbatim, never
-    re-parsed.  A v1 frame cannot carry a trace id and is returned
-    unchanged (the transport gates on the negotiated version, so this is
-    the belt to that suspender); a frame that already carries one is a
-    caller bug.
+    O(1) on the frame structure: the trailing zero id is replaced and the
+    kind/name/body encoding is reused verbatim, never re-parsed.  A frame
+    that already carries an id is a caller bug.
     """
     if len(trace_id) != TRACE_ID_SIZE:
         raise ProtocolError(
             f"trace ids are {TRACE_ID_SIZE} bytes, got {len(trace_id)}"
         )
-    version = peek_version(raw)
-    if version == PROTOCOL_V1:
-        return raw
-    if version != PROTOCOL_V2:
-        raise ProtocolError(f"cannot attach a trace id to a v{version} envelope")
-    header = len(V2_MAGIC)
-    return V2_MAGIC + bytes([PROTOCOL_V3]) + raw[header + 1:] + trace_id
-
-
-def strip_trace(raw: bytes) -> bytes:
-    """Downgrade a serialized v3 envelope to v2, dropping its trace id.
-
-    Non-v3 frames pass through unchanged, so a relay in front of a
-    pre-trace peer can call this unconditionally.
-    """
-    if peek_version(raw) != PROTOCOL_V3:
-        return raw
-    if len(raw) < len(V2_MAGIC) + 1 + TRACE_ID_SIZE:
-        raise ProtocolError("truncated trace id")
-    header = len(V2_MAGIC)
-    return V2_MAGIC + bytes([PROTOCOL_V2]) + raw[header + 1: -TRACE_ID_SIZE]
+    if peek_trace_id(raw) is not None:
+        raise ProtocolError("the envelope already carries a trace id")
+    return raw[:-TRACE_ID_SIZE] + trace_id
 
 
 def peek_trace_id(raw: bytes) -> bytes | None:
-    """The trace id of a raw v3 frame (None for untraced versions), O(1)."""
-    if peek_version(raw) != PROTOCOL_V3:
-        return None
-    if len(raw) < len(V2_MAGIC) + 1 + TRACE_ID_SIZE:
-        raise ProtocolError("truncated trace id")
-    return raw[-TRACE_ID_SIZE:]
+    """The trace id of a raw envelope (None when untraced), O(1)."""
+    _check_header(raw)
+    trace_id = raw[-TRACE_ID_SIZE:]
+    return None if trace_id == UNTRACED else trace_id
 
 
-def negotiate_version(
-    client_versions: Iterable[int], server_versions: Iterable[int]
-) -> int:
-    """The highest protocol version both endpoints support."""
-    client = set(client_versions)
-    server = set(server_versions)
-    common = client & server
-    if not common:
+# --------------------------------------------------------------------------- #
+# The request seam
+# --------------------------------------------------------------------------- #
+
+def check_reply(raw: bytes, expect: MessageKind) -> Message:
+    """Parse a provider's reply and check it is of kind ``expect``.
+
+    Raises :class:`ErrorReply` for an ``ERROR`` reply and
+    :class:`ProtocolError` for any other unexpected kind.
+    """
+    response = parse_message(raw)
+    if response.kind is MessageKind.ERROR:
+        raise ErrorReply(response.body.decode("utf-8", "replace"))
+    if response.kind is not expect:
         raise ProtocolError(
-            f"no common protocol version (client {sorted(client)}, "
-            f"server {sorted(server)})"
+            f"expected {expect.value!r} response, got {response.kind.value!r}"
         )
-    return max(common)
+    return response
+
+
+def request(
+    server,
+    kind: MessageKind,
+    relation_name: str,
+    body: bytes = b"",
+    *,
+    expect: MessageKind,
+) -> Message:
+    """Send one request envelope through ``server.handle_message``.
+
+    ``server`` is anything that answers envelopes: an in-process provider,
+    a TCP proxy or a shard router.  Returns the reply, checked by
+    :func:`check_reply`.
+    """
+    envelope = Message(kind=kind, relation_name=relation_name, body=body)
+    return check_reply(server.handle_message(envelope.to_bytes()), expect)

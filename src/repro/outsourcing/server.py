@@ -10,11 +10,12 @@ results structurally reveal -- which is precisely what the paper's security
 analysis is about.
 
 Besides the object-level API, :meth:`OutsourcedDatabaseServer.handle_message`
-speaks the byte-level protocol of :mod:`repro.outsourcing.protocol` in both
-envelope versions, so a transport can shuttle opaque frames between client
-and provider.  Evaluators are registered out-of-band
-(:meth:`OutsourcedDatabaseServer.register_evaluator`): they are the keyless
-*code* the client deploys at the provider, not data the protocol carries.
+speaks the byte-level protocol of :mod:`repro.outsourcing.protocol`, so a
+transport can shuttle opaque frames between client and provider; every
+envelope kind dispatches to one of the object methods.  Evaluators are
+registered out-of-band (:meth:`OutsourcedDatabaseServer.register_evaluator`):
+they are the keyless *code* the client deploys at the provider, not data the
+protocol carries.
 """
 
 from __future__ import annotations
@@ -34,15 +35,7 @@ from repro.core.dph import (
 from repro.obs import MetricsRegistry, span as obs_span
 from repro.outsourcing import protocol
 from repro.outsourcing.audit import AuditEventKind, ServerAuditLog
-from repro.outsourcing.protocol import (
-    Message,
-    MessageKind,
-    MessageV2,
-    PROTOCOL_V1,
-    PROTOCOL_V2,
-    PROTOCOL_V3,
-    ProtocolError,
-)
+from repro.outsourcing.protocol import Message, MessageKind, ProtocolError
 from repro.outsourcing.storage import (
     InMemoryStorageBackend,
     StorageBackend,
@@ -70,9 +63,6 @@ class StoredRelation:
 
 class OutsourcedDatabaseServer:
     """The untrusted service provider, generic over its storage backend."""
-
-    #: Protocol versions this server implementation can speak.
-    SUPPORTED_PROTOCOL_VERSIONS = (PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_V3)
 
     def __init__(
         self,
@@ -129,11 +119,6 @@ class OutsourcedDatabaseServer:
         return self._storage
 
     @property
-    def supported_protocol_versions(self) -> tuple[int, ...]:
-        """What :func:`repro.outsourcing.protocol.negotiate_version` consumes."""
-        return self.SUPPORTED_PROTOCOL_VERSIONS
-
-    @property
     def relation_names(self) -> tuple[str, ...]:
         """Names of the stored relations."""
         return self._storage.names()
@@ -181,18 +166,12 @@ class OutsourcedDatabaseServer:
             size_in_bytes=encrypted_tuple.size_in_bytes(),
         )
 
-    def delete_tuples(self, name: str, tuple_ids: Sequence[bytes]) -> int:
-        """Remove the named tuple ciphertexts; returns how many were dropped.
-
-        Unknown ids are ignored (the client addresses tuples by the public
-        random ids, which may already have been deleted by a racing request).
-        """
-        return len(self.delete_tuples_exact(name, tuple_ids))
-
     def delete_tuples_exact(self, name: str, tuple_ids: Sequence[bytes]) -> tuple[bytes, ...]:
         """Remove the named tuple ciphertexts and report *which* ids went.
 
-        The per-id outcome is what a coordinator needs under replayed or
+        Unknown ids are ignored (the client addresses tuples by the public
+        random ids, which may already have been deleted by a racing
+        request).  The per-id outcome is what a coordinator needs under replayed or
         stale delete batches: a count alone cannot say which addressed
         tuples were still live on this provider, the id set can -- and it
         is exactly the set whose index postings must be tombstoned.
@@ -416,10 +395,9 @@ class OutsourcedDatabaseServer:
     def handle_message(self, raw: bytes) -> bytes:
         """Process one protocol frame and return the serialized response.
 
-        Both envelope versions are accepted; the response travels in the same
-        version as the request.  Failures inside a well-framed request come
-        back as ``ERROR`` messages rather than exceptions, mirroring what a
-        remote provider would do.
+        Failures inside a well-framed request come back as ``ERROR``
+        messages rather than exceptions, mirroring what a remote provider
+        would do.
         """
         request = protocol.parse_message(raw)
         started = time.monotonic()
@@ -447,7 +425,7 @@ class OutsourcedDatabaseServer:
         ).observe(time.monotonic() - started)
         return response.to_bytes()
 
-    def _dispatch(self, request: Message | MessageV2) -> Message | MessageV2:
+    def _dispatch(self, request: Message) -> Message:
         name = request.relation_name
         if request.kind is MessageKind.STORE_RELATION:
             encrypted_relation = protocol.decode_encrypted_relation(request.body)
@@ -465,15 +443,11 @@ class OutsourcedDatabaseServer:
         if request.kind is MessageKind.QUERY:
             encrypted_query = protocol.decode_encrypted_query(request.body)
             result = self.execute_query(name, encrypted_query)
-            if request.version == PROTOCOL_V1:
-                body = protocol.encode_encrypted_relation(result.matching)
-            else:
-                body = protocol.encode_evaluation_result(result)
-            return self._respond(request, MessageKind.QUERY_RESULT, body)
-        if request.kind is MessageKind.DELETE_TUPLES:
-            tuple_ids = protocol.decode_tuple_ids(request.body)
-            deleted = self.delete_tuples(name, tuple_ids)
-            return self._respond(request, MessageKind.ACK, protocol.encode_count(deleted))
+            return self._respond(
+                request,
+                MessageKind.QUERY_RESULT,
+                protocol.encode_evaluation_result(result),
+            )
         if request.kind is MessageKind.BATCH_QUERY:
             queries = protocol.decode_query_batch(request.body)
             results = self.execute_batch(name, queries)
@@ -507,20 +481,16 @@ class OutsourcedDatabaseServer:
             from repro.index.wire import decode_index_lookup
 
             result = self.index_lookup(name, decode_index_lookup(request.body))
-            # INDEX_LOOKUP is v2-only, so the response always carries stats.
             return self._respond(
                 request,
                 MessageKind.QUERY_RESULT,
                 protocol.encode_evaluation_result(result),
             )
-        raise ServerError(f"cannot serve message kind {request.kind.value!r}")
+        raise ServerError(f"{request.kind.value!r} is a reply kind, not a request")
 
     @staticmethod
-    def _respond(
-        request: Message | MessageV2, kind: MessageKind, body: bytes
-    ) -> Message | MessageV2:
-        envelope = Message if request.version == PROTOCOL_V1 else MessageV2
-        return envelope(kind=kind, relation_name=request.relation_name, body=body)
+    def _respond(request: Message, kind: MessageKind, body: bytes) -> Message:
+        return Message(kind=kind, relation_name=request.relation_name, body=body)
 
     # ------------------------------------------------------------------ #
     # Internals

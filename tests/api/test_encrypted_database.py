@@ -12,7 +12,6 @@ from repro.outsourcing import (
     OutsourcingClient,
     StorageError,
 )
-from repro.outsourcing.protocol import PROTOCOL_V1
 from repro.relational import ConjunctiveSelection, Selection
 from repro.schemes.registry import available_schemes
 
@@ -185,7 +184,7 @@ class TestCrudAcrossAllSchemes:
         above already proved byte-for-byte equality with the expectation."""
         outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
         assert len(outcome.relation) == 2
-        if db.index_active:
+        if db.index_enabled:
             assert outcome.evaluation.examined == 2
         else:
             assert outcome.evaluation is None or (
@@ -350,19 +349,3 @@ class TestLegacyInterop:
         assert len(legacy.select(Selection.equals("dept", "HR")).relation) == 2
         assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 2
         assert set(server.relation_names) == {"Legacy", "Emp"}
-
-    def test_v1_only_server_still_selects(self, secret_key):
-        class V1OnlyServer(OutsourcedDatabaseServer):
-            SUPPORTED_PROTOCOL_VERSIONS = (PROTOCOL_V1,)
-
-        db = EncryptedDatabase.open(secret_key, server=V1OnlyServer())
-        assert db.protocol_version == PROTOCOL_V1
-        db.create_table(EMP_DECL, rows=ROWS)
-        db.insert("Emp", {"name": "Zoe", "dept": "HR", "salary": 1})
-        assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 3
-        with pytest.raises(DatabaseError, match="protocol version 2"):
-            db.delete(Selection.equals("dept", "HR"), table="Emp")
-        with pytest.raises(DatabaseError, match="protocol version 2"):
-            db.update(Selection.equals("dept", "HR"), {"salary": 2}, table="Emp")
-        with pytest.raises(DatabaseError, match="protocol version 2"):
-            db.select_many([Selection.equals("dept", "HR")], table="Emp")

@@ -149,12 +149,12 @@ class TestCrashMidMigration:
             def refuse(name, tuple_ids):
                 raise ConnectionError("crashed before the delete phase")
 
-            backend.delete_tuples = refuse  # shadow the bound method
+            backend.delete_tuples_exact = refuse  # shadow the bound method
             saboteurs.append(backend)
         with pytest.raises(ConnectionError):
             router.rebalance()
         for backend in saboteurs:  # un-shadow: restore the class method
-            del backend.delete_tuples
+            del backend.delete_tuples_exact
         return router
 
     def test_queries_answer_each_tuple_once_despite_duplicates(self, db):
@@ -214,7 +214,7 @@ class TestReplicatedRebalance:
         # wound one replica set: drop a single copy behind the router's back
         tuple_id, holders = next(iter(self._holders(router, "Emp").items()))
         victim = sorted(holders)[0]
-        router.shard(victim).delete_tuples("Emp", [tuple_id])
+        router.shard(victim).delete_tuples_exact("Emp", [tuple_id])
         report = router.rebalance()
         assert report.moved == 1
         self._fully_replicated(router, "Emp")
@@ -243,7 +243,7 @@ class TestReplicatedRebalance:
                               replication=self.REPLICAS) == []
         tuple_id, holders = next(iter(self._holders(router, "Emp").items()))
         victim = sorted(holders)[0]
-        router.shard(victim).delete_tuples("Emp", [tuple_id])
+        router.shard(victim).delete_tuples_exact("Emp", [tuple_id])
         pending = misplaced_tuples(shards, router.ring, "Emp",
                                    replication=self.REPLICAS)
         assert [(source, target, t.tuple_id) for source, target, t in pending] == [

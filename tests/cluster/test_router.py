@@ -1,4 +1,4 @@
-"""ShardRouter: CRUD routing, merging, partial failure, duck-type fidelity."""
+"""ShardRouter: CRUD routing, merging, partial failure, provider fidelity."""
 
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ from repro.cluster import (
     parse_cluster_options,
     parse_cluster_url,
 )
-from repro.outsourcing import OutsourcedDatabaseServer, OutsourcingClient
-from repro.outsourcing.protocol import PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_V3
+from repro.outsourcing import OutsourcedDatabaseServer, OutsourcingClient, protocol
+from repro.outsourcing.protocol import ErrorReply, MessageKind
 from repro.relational import Selection
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
@@ -39,21 +39,32 @@ class FlakyServer(OutsourcedDatabaseServer):
         self._check()
         return super().handle_message(raw)
 
-    def execute_query(self, name, encrypted_query):
+    def stored_relation(self, name):
         self._check()
-        return super().execute_query(name, encrypted_query)
+        return super().stored_relation(name)
 
-    def insert_tuple(self, name, encrypted_tuple):
-        self._check()
-        return super().insert_tuple(name, encrypted_tuple)
 
-    def delete_tuples(self, name, tuple_ids):
-        self._check()
-        return super().delete_tuples(name, tuple_ids)
+def _insert(router, encrypted_tuple):
+    """One INSERT_TUPLE envelope straight to the router."""
+    protocol.request(
+        router,
+        MessageKind.INSERT_TUPLE,
+        "Emp",
+        protocol.encode_encrypted_tuple(encrypted_tuple),
+        expect=MessageKind.ACK,
+    )
 
-    def delete_tuples_exact(self, name, tuple_ids):
-        self._check()
-        return super().delete_tuples_exact(name, tuple_ids)
+
+def _delete(router, tuple_ids):
+    """One DELETE_TUPLES_EXACT envelope; returns the ids the fleet deleted."""
+    response = protocol.request(
+        router,
+        MessageKind.DELETE_TUPLES_EXACT,
+        "Emp",
+        protocol.encode_tuple_ids(tuple_ids),
+        expect=MessageKind.TUPLE_IDS,
+    )
+    return protocol.decode_tuple_ids(response.body)
 
 
 @pytest.fixture
@@ -120,15 +131,6 @@ class TestRouting:
 
 
 class TestDuckType:
-    def test_version_intersection(self, backends):
-        class V1Only(OutsourcedDatabaseServer):
-            SUPPORTED_PROTOCOL_VERSIONS = (PROTOCOL_V1,)
-
-        full = ShardRouter(backends)
-        assert full.supported_protocol_versions == (PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_V3)
-        mixed = ShardRouter([OutsourcedDatabaseServer(), V1Only()])
-        assert mixed.supported_protocol_versions == (PROTOCOL_V1,)
-
     def test_legacy_outsourcing_client_works_over_a_cluster(
         self, employee_relation, swp_dph
     ):
@@ -191,8 +193,8 @@ class TestPartialFailure:
         lost_ids = [t.tuple_id for t in shards[2].stored_relation("Emp")]
         assert lost_ids
         shards[2].down = True
-        with pytest.raises(ClusterError):
-            router.delete_tuples("Emp", lost_ids)
+        with pytest.raises(ErrorReply, match="shard is down"):
+            _delete(router, lost_ids)
         # a degraded *read* of the same table still works meanwhile
         assert db.select("SELECT * FROM Emp WHERE dept = 'IT'").relation is not None
 
@@ -281,11 +283,11 @@ class TestReplication:
         shards[0].down = True
         shards[1].down = True  # 2 dead >= R=2: coverage is broken
         with pytest.raises(ShardFailedError) as excinfo:
-            router.execute_query(
-                "Emp",
-                db.table("Emp").scheme.encrypt_query(Selection.equals("dept", "HR")),
-            )
+            router.stored_relation("Emp")
         assert excinfo.value.failed_shard_ids == ("shard-0", "shard-1")
+        # a query envelope reports the same shards in its ERROR reply
+        with pytest.raises(DatabaseError, match="shard-0.*shard-1"):
+            db.select("SELECT * FROM Emp WHERE dept = 'HR'")
 
     def test_replicated_writes_fail_fast_when_a_replica_is_down(self):
         db, router, shards = self._cluster()
@@ -295,10 +297,10 @@ class TestReplication:
         )
         victim = router.replica_shards(encrypted.tuple_id)[1]
         router.shard(victim).down = True
-        with pytest.raises(ClusterError):
-            router.insert_tuple("Emp", encrypted)
+        with pytest.raises(ErrorReply, match="shard is down"):
+            _insert(router, encrypted)
         router.shard(victim).down = False
-        router.insert_tuple("Emp", encrypted)
+        _insert(router, encrypted)
         _assert_fully_replicated(router, "Emp")
 
     def test_deletes_fail_fast_and_count_logically(self):
@@ -309,6 +311,23 @@ class TestReplication:
         shards[2].down = True
         with pytest.raises(DatabaseError):
             db.delete("SELECT * FROM Emp WHERE dept = 'IT'")
+
+    def test_a_stale_delete_batch_counts_only_the_live_ids(self, secret_key, rng):
+        # One id is live (two physical copies), the other was already
+        # deleted: per-id outcomes give 1.  A sum of per-shard counts
+        # capped at the batch size would report 2.
+        router = ShardRouter([FlakyServer(), FlakyServer()], replicas=2)
+        rows = [("alice", "HR", 1), ("bob", "HR", 2)]
+        cached = EncryptedDatabase.open(secret_key, server=router, rng=rng, cache=True)
+        cached.create_table(EMP_DECL, rows=rows)
+        other = EncryptedDatabase.open(secret_key, server=router, rng=rng)
+        other.attach_table(EMP_DECL)
+        hr = "SELECT * FROM Emp WHERE dept = 'HR'"
+        assert len(cached.select(hr).relation) == 2  # fills the client cache
+        assert other.delete("SELECT * FROM Emp WHERE name = 'alice'") == 1
+        # the cached read still names alice, so the batch holds a dead id
+        assert cached.delete(hr) == 1
+        assert router.tuple_count("Emp") == 0
 
     def test_update_keeps_full_replication(self):
         db, router, _ = self._cluster()

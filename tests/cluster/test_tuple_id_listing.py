@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.api import EncryptedDatabase
 from repro.cluster import ShardRouter
 from repro.outsourcing import OutsourcedDatabaseServer
-from repro.outsourcing.protocol import MessageKind, MessageV2, decode_tuple_ids, parse_message
+from repro.outsourcing.protocol import Message, MessageKind, decode_tuple_ids, parse_message
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
 ROWS = [(f"emp{i}", "HR" if i % 2 else "IT", 1000 + i) for i in range(24)]
@@ -66,7 +66,7 @@ class TestRouterIdListing:
         db = EncryptedDatabase.open(secret_key, server=router, rng=rng)
         try:
             db.create_table(EMP_DECL, rows=ROWS)
-            request = MessageV2(kind=MessageKind.LIST_TUPLE_IDS, relation_name="Emp")
+            request = Message(kind=MessageKind.LIST_TUPLE_IDS, relation_name="Emp")
             response = parse_message(router.handle_message(request.to_bytes()))
             assert response.kind is MessageKind.TUPLE_IDS
             assert len(decode_tuple_ids(response.body)) == len(ROWS)

@@ -1,18 +1,17 @@
 """Index maintenance edge cases on the serving path.
 
 Covers the corners the happy path skips: labels emptied by the last
-delete, bucket-cap overflow spill, v1 providers negotiating the session
-back to scans, mixed fleets where only some shards speak the index ops,
-and the exact-delete protocol op under duplicates and replays.
+delete, bucket-cap overflow spill, a shard that lost its index, and the
+exact-delete protocol op under duplicates and replays.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api import EncryptedDatabase
+from repro.api import DatabaseError, EncryptedDatabase
 from repro.outsourcing import OutsourcedDatabaseServer
-from repro.outsourcing.protocol import PROTOCOL_V1, MessageKind
+from repro.outsourcing.protocol import ErrorReply, MessageKind
 from repro.outsourcing.server import ServerError
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
@@ -36,7 +35,7 @@ class TestEmptiedLabels:
         outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
         assert len(outcome.relation) == 0
         # the emptied label answers from the index (0 fetched), not by scan
-        assert db.index_active
+        assert db.index_enabled
         assert outcome.evaluation.examined == 0
 
     def test_other_labels_survive_the_emptying(self, db):
@@ -68,83 +67,19 @@ class TestOverflowSpill:
         assert outcome.evaluation.examined == 3 * capacity
 
 
-class V1OnlyServer(OutsourcedDatabaseServer):
-    """A provider from before the v2 envelope existed."""
-
-    SUPPORTED_PROTOCOL_VERSIONS = (PROTOCOL_V1,)
-
-
-_INDEX_KINDS = frozenset(
-    {
-        MessageKind.INDEX_PUT,
-        MessageKind.INDEX_DELTA,
-        MessageKind.INDEX_LOOKUP,
-        MessageKind.DELETE_TUPLES_EXACT,
-    }
-)
-
-
-class NoIndexServer(OutsourcedDatabaseServer):
-    """A v2 provider from before the index ops existed."""
-
-    REFUSED = _INDEX_KINDS
-
-    def _dispatch(self, request):
-        if request.kind in self.REFUSED:
-            raise ServerError(f"cannot serve message kind {request.kind.value!r}")
-        return super()._dispatch(request)
-
-
-class NoLookupServer(NoIndexServer):
-    """Accepts index maintenance but cannot serve lookups (mid-upgrade)."""
-
-    REFUSED = frozenset({MessageKind.INDEX_LOOKUP})
-
-
-class TestV1Negotiation:
-    def test_v1_provider_disables_indexing_silently(self, secret_key, rng):
-        db = EncryptedDatabase.open(
-            secret_key, server=V1OnlyServer(), rng=rng, index=True
-        )
-        assert not db.index_enabled
-        assert not db.index_active
+class TestIndexedFleet:
+    def test_a_shard_that_lost_its_index_answers_by_scan(self, secret_key, rng):
+        shards = [OutsourcedDatabaseServer(), OutsourcedDatabaseServer()]
+        db = EncryptedDatabase.open(secret_key, shards=shards, rng=rng, index=True)
         db.create_table(EMP_DECL, rows=ROWS)
+        # the index is soft state: a restarted shard comes back without it
+        shards[1].index_access.note_drop("Emp")
         outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
         assert len(outcome.relation) == 10
-
-
-class TestPreIndexProvider:
-    def test_session_falls_back_to_scans_and_stays_correct(self, secret_key, rng):
-        db = EncryptedDatabase.open(
-            secret_key, server=NoIndexServer(), rng=rng, index=True
-        )
-        db.create_table(EMP_DECL, rows=ROWS)
-        # the failed INDEX_PUT memoized "provider has no index ops"
-        assert db.index_enabled
-        assert not db.index_active
-        outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
-        assert len(outcome.relation) == 10
-        assert db.delete("SELECT * FROM Emp WHERE name = 'emp1'") == 1
-        assert db.update("SELECT * FROM Emp WHERE name = 'emp3'", {"salary": 9}) == 1
-        assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 9
-
-
-class TestMixedFleet:
-    def test_lookups_fall_back_per_shard(self, secret_key, rng):
-        db = EncryptedDatabase.open(
-            secret_key,
-            shards=[OutsourcedDatabaseServer(), NoLookupServer()],
-            rng=rng,
-            index=True,
-        )
-        db.create_table(EMP_DECL, rows=ROWS)
-        assert db.index_active  # maintenance succeeded fleet-wide
-        outcome = db.select("SELECT * FROM Emp WHERE dept = 'HR'")
-        assert len(outcome.relation) == 10
-        # the lookup was served: indexed on one shard, by scan on the other
+        # served indexed on one shard, by the provider's own scan on the other
         assert db.server.stats.index_lookups >= 1
-        assert db.server.stats.index_scan_fallbacks >= 1
-        assert db.index_active  # per-shard fallback never disables the session
+        assert shards[0].index_stats()["scan_fallbacks"] == 0
+        assert shards[1].index_stats()["scan_fallbacks"] >= 1
 
     def test_results_match_an_unindexed_twin(self, secret_key, rng):
         from repro.crypto.rng import DeterministicRng
@@ -153,7 +88,7 @@ class TestMixedFleet:
         for index in (True, False):
             db = EncryptedDatabase.open(
                 secret_key,
-                shards=[OutsourcedDatabaseServer(), NoLookupServer()],
+                shards=[OutsourcedDatabaseServer(), OutsourcedDatabaseServer()],
                 rng=DeterministicRng(7),
                 index=index,
             )
@@ -166,6 +101,26 @@ class TestMixedFleet:
             left = indexed.select(f"SELECT * FROM Emp WHERE {where}")
             right = plain.select(f"SELECT * FROM Emp WHERE {where}")
             assert _names(left) == _names(right), where
+
+    def test_a_refused_index_op_surfaces_instead_of_disabling_the_index(
+        self, secret_key, rng
+    ):
+        class RefusingServer(OutsourcedDatabaseServer):
+            def _dispatch(self, request):
+                if request.kind is MessageKind.INDEX_PUT:
+                    raise ServerError("index store is full")
+                return super()._dispatch(request)
+
+        db = EncryptedDatabase.open(
+            secret_key,
+            shards=[OutsourcedDatabaseServer(), RefusingServer()],
+            rng=rng,
+            index=True,
+        )
+        with pytest.raises(DatabaseError, match="index store is full") as excinfo:
+            db.create_table(EMP_DECL, rows=ROWS)
+        assert isinstance(excinfo.value.__cause__, ErrorReply)
+        assert db.index_enabled
 
 
 class TestExactDeletes:

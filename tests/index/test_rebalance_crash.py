@@ -42,12 +42,12 @@ def crashed(secret_key, rng):
         def refuse(name, tuple_ids):
             raise ConnectionError("killed before the delete phase")
 
-        backend.delete_tuples = refuse  # shadow the bound method
+        backend.delete_tuples_exact = refuse  # shadow the bound method
         saboteurs.append(backend)
     with pytest.raises(ConnectionError):
         router.rebalance()
     for backend in saboteurs:
-        del backend.delete_tuples
+        del backend.delete_tuples_exact
     return db
 
 
@@ -58,7 +58,7 @@ class TestIndexedLookupsUnderCrashDuplicates:
         assert counts["shard-2"] > 0  # the migration's inserts landed
 
     def test_indexed_results_equal_scan_results(self, crashed, secret_key):
-        assert crashed.index_active
+        assert crashed.index_enabled
         scan = EncryptedDatabase.open(secret_key, server=crashed.server)
         scan.attach_table(EMP_DECL)
         for where in ("dept = 'HR'", "dept = 'IT'", "name = 'emp17'"):

@@ -215,7 +215,7 @@ class TestAsyncReconnect:
             frames = []
             while not frames:  # the hello
                 frames += decoder.feed(conn.recv(65536))
-            response = {"ok": True, "version": 2, "versions": [1, 2], "server": "rogue"}
+            response = {"ok": True, "version": 3, "server": "rogue"}
             conn.sendall(
                 encode_frame(
                     json.dumps(response).encode(),
@@ -248,7 +248,7 @@ class TestCancellationOrphans:
         the provider's late answer is dropped, not misdelivered."""
         from gated_provider import GatedServer, store_empty
 
-        from repro.outsourcing.protocol import MessageKind, MessageV2
+        from repro.outsourcing.protocol import Message, MessageKind
 
         database = GatedServer()
         store_empty(database, EMP_DECL)
@@ -257,7 +257,7 @@ class TestCancellationOrphans:
         with ThreadedTcpServer(database) as server:
             proxy = AsyncRemoteServerProxy("127.0.0.1", server.port)
             try:
-                slow_envelope = MessageV2(
+                slow_envelope = Message(
                     kind=MessageKind.LIST_TUPLE_IDS, relation_name="Emp"
                 ).to_bytes()
 

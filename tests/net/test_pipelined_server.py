@@ -23,7 +23,7 @@ from repro.net import (
     send_frame,
 )
 from repro.outsourcing import OutsourcedDatabaseServer
-from repro.outsourcing.protocol import MessageKind, MessageV2, parse_message
+from repro.outsourcing.protocol import PROTOCOL_VERSION, Message, MessageKind, parse_message
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
 
@@ -88,7 +88,7 @@ class TestKeyedSerialDispatcher:
 
 
 def hello(sock) -> dict:
-    send_frame(sock, json.dumps({"op": "hello", "versions": [1, 2]}).encode(),
+    send_frame(sock, json.dumps({"op": "hello", "versions": [PROTOCOL_VERSION]}).encode(),
                channel=CHANNEL_CONTROL, correlation=1)
     return json.loads(recv_frame(sock).payload)
 
@@ -107,7 +107,7 @@ class TestPipelinedConnections:
         with ThreadedTcpServer(database) as server:
             sock = open_client(server.port)
             try:
-                envelope = MessageV2(
+                envelope = Message(
                     kind=MessageKind.LIST_TUPLE_IDS, relation_name="Emp"
                 ).to_bytes()
                 for correlation in (7, 99, 42):
@@ -127,10 +127,10 @@ class TestPipelinedConnections:
         with ThreadedTcpServer(database) as server:
             sock = open_client(server.port)
             try:
-                slow = MessageV2(
+                slow = Message(
                     kind=MessageKind.LIST_TUPLE_IDS, relation_name="Emp"
                 ).to_bytes()
-                fast = MessageV2(
+                fast = Message(
                     kind=MessageKind.LIST_TUPLE_IDS, relation_name="Fast"
                 ).to_bytes()
                 send_frame(sock, slow, correlation=1)
@@ -157,7 +157,7 @@ class TestPipelinedConnections:
             try:
                 send_frame(
                     slow_sock,
-                    MessageV2(kind=MessageKind.LIST_TUPLE_IDS,
+                    Message(kind=MessageKind.LIST_TUPLE_IDS,
                               relation_name="Emp").to_bytes(),
                     correlation=1,
                 )
@@ -166,7 +166,7 @@ class TestPipelinedConnections:
                 started = time.monotonic()
                 send_frame(
                     fast_sock,
-                    MessageV2(kind=MessageKind.LIST_TUPLE_IDS,
+                    Message(kind=MessageKind.LIST_TUPLE_IDS,
                               relation_name="Fast").to_bytes(),
                     correlation=1,
                 )
@@ -241,14 +241,14 @@ class TestPipelinedConnections:
             try:
                 send_frame(
                     sock,
-                    MessageV2(kind=MessageKind.LIST_TUPLE_IDS,
+                    Message(kind=MessageKind.LIST_TUPLE_IDS,
                               relation_name="Emp").to_bytes(),
                     correlation=1,
                 )
                 assert database.entered["Emp"].wait(timeout=10)
                 send_frame(
                     sock,
-                    MessageV2(kind=MessageKind.LIST_TUPLE_IDS,
+                    Message(kind=MessageKind.LIST_TUPLE_IDS,
                               relation_name="Fast").to_bytes(),
                     correlation=2,
                 )

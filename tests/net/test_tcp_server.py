@@ -1,4 +1,4 @@
-"""Edge cases of the TCP serving layer: negotiation, hostile bytes, lifecycle."""
+"""Edge cases of the TCP serving layer: the hello, hostile bytes, lifecycle."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from repro.api import EncryptedDatabase
+from repro.api import DatabaseError, EncryptedDatabase
 from repro.net import (
     CHANNEL_CONTROL,
     CHANNEL_ENVELOPE,
@@ -20,8 +20,9 @@ from repro.net import (
     send_frame,
 )
 from repro.net.client import ConnectionLostError, ConnectionPool, RemoteConnection, parse_tcp_url
-from repro.outsourcing import MessageKind, MessageV2, OutsourcedDatabaseServer
-from repro.outsourcing.protocol import PROTOCOL_V1
+from repro.net.aio import AsyncRemoteServerProxy
+from repro.outsourcing import Message, MessageKind, OutsourcedDatabaseServer
+from repro.outsourcing.protocol import PROTOCOL_VERSION, ProtocolVersionError
 
 EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
 
@@ -38,7 +39,7 @@ def raw_connection(port: int) -> socket.socket:
     return sock
 
 
-def send_hello(sock, versions=(1, 2)) -> dict:
+def send_hello(sock, versions=(PROTOCOL_VERSION,)) -> dict:
     send_frame(sock, json.dumps({"op": "hello", "versions": list(versions)}).encode(),
                channel=CHANNEL_CONTROL)
     frame = recv_frame(sock)
@@ -46,22 +47,27 @@ def send_hello(sock, versions=(1, 2)) -> dict:
 
 
 class TestHelloNegotiation:
-    def test_negotiates_highest_common_version(self, provider):
+    def test_hello_accepts_the_protocol_version(self, provider):
         sock = raw_connection(provider.port)
         try:
             hello = send_hello(sock)
-            assert hello["ok"] and hello["version"] == 2
-            assert hello["versions"] == [1, 2, 3]
+            assert hello["ok"] and hello["version"] == PROTOCOL_VERSION
             assert hello["max_frame_size"] > 0
         finally:
             sock.close()
 
-    def test_v1_only_client_gets_v1(self, provider):
+    def test_other_version_refused_but_the_server_keeps_serving(self, provider):
         sock = raw_connection(provider.port)
         try:
-            assert send_hello(sock, versions=(1,))["version"] == 1
+            hello = send_hello(sock, versions=(2,))
+            assert not hello["ok"]
+            assert hello["versions"] == [PROTOCOL_VERSION]
+            assert recv_frame(sock) is None  # only this connection closed
         finally:
             sock.close()
+        with EncryptedDatabase.connect(f"tcp://127.0.0.1:{provider.port}") as db:
+            db.create_table(EMP_DECL, rows=[("A", "HR", 1)])
+            assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 1
 
     def test_no_common_version_is_an_error(self, provider):
         sock = raw_connection(provider.port)
@@ -75,7 +81,7 @@ class TestHelloNegotiation:
     def test_envelope_before_hello_rejected_and_closed(self, provider):
         sock = raw_connection(provider.port)
         try:
-            frame = MessageV2(kind=MessageKind.QUERY, relation_name="Emp").to_bytes()
+            frame = Message(kind=MessageKind.QUERY, relation_name="Emp").to_bytes()
             send_frame(sock, frame, channel=CHANNEL_ENVELOPE)
             response = json.loads(recv_frame(sock).payload)
             assert not response["ok"]
@@ -84,20 +90,59 @@ class TestHelloNegotiation:
         finally:
             sock.close()
 
-    def test_proxy_against_v1_only_provider(self):
-        class V1OnlyServer(OutsourcedDatabaseServer):
-            SUPPORTED_PROTOCOL_VERSIONS = (PROTOCOL_V1,)
+    def test_proxies_refuse_a_provider_speaking_another_version(self, monkeypatch):
+        monkeypatch.setattr("repro.net.server.PROTOCOL_VERSION", PROTOCOL_VERSION + 1)
+        with ThreadedTcpServer() as server:
+            with pytest.raises(ProtocolVersionError):
+                RemoteServerProxy("127.0.0.1", server.port)
+            with pytest.raises(ProtocolVersionError):
+                AsyncRemoteServerProxy("127.0.0.1", server.port)
+            url = f"tcp://127.0.0.1:{server.port}"
+            for url in (url, url + "?async=1"):
+                with pytest.raises(DatabaseError) as excinfo:
+                    EncryptedDatabase.connect(url)
+                assert isinstance(excinfo.value.__cause__, ProtocolVersionError)
 
-        with ThreadedTcpServer(V1OnlyServer()) as server:
-            proxy = RemoteServerProxy("127.0.0.1", server.port)
-            try:
-                assert proxy.supported_protocol_versions == (PROTOCOL_V1,)
-                db = EncryptedDatabase.connect(proxy)
-                assert db.protocol_version == PROTOCOL_V1
-                db.create_table(EMP_DECL, rows=[("A", "HR", 1)])
-                assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 1
-            finally:
-                proxy.close()
+    def test_a_cluster_with_one_shard_on_another_version_refuses_to_connect(
+        self, provider
+    ):
+        # A listener whose hello refuses ours while listing another version:
+        # the one shard of a fleet that was never upgraded.
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.2)
+        stop = threading.Event()
+
+        def refuse_hellos() -> None:
+            while not stop.is_set():
+                try:
+                    conn, _ = listener.accept()
+                except OSError:
+                    continue
+                with conn:
+                    conn.settimeout(5.0)
+                    frame = recv_frame(conn)
+                    if frame is None:
+                        continue
+                    refusal = {"ok": False, "error": "",
+                               "versions": [PROTOCOL_VERSION + 1]}
+                    send_frame(conn, json.dumps(refusal).encode(),
+                               channel=CHANNEL_CONTROL, correlation=frame.correlation)
+
+        thread = threading.Thread(target=refuse_hellos, daemon=True)
+        thread.start()
+        try:
+            old_port = listener.getsockname()[1]
+            url = f"cluster://127.0.0.1:{provider.port},127.0.0.1:{old_port}"
+            with pytest.raises(DatabaseError) as excinfo:
+                EncryptedDatabase.connect(url)
+            cause = excinfo.value.__cause__
+            while cause is not None and not isinstance(cause, ProtocolVersionError):
+                cause = cause.__cause__
+            assert isinstance(cause, ProtocolVersionError)
+        finally:
+            stop.set()
+            thread.join(timeout=5.0)
+            listener.close()
 
 
 class TestHostileBytes:

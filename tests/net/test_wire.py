@@ -13,6 +13,7 @@ from repro.net.wire import (
     decode_hello,
     encode_hello,
 )
+from repro.outsourcing.protocol import PROTOCOL_VERSION, ProtocolVersionError
 
 
 def response_bytes(correlation: int, payload: bytes = b"pong") -> bytes:
@@ -87,26 +88,38 @@ class TestClientChannel:
 
 class TestHelloCodecs:
     def test_hello_round_trip(self):
-        payload = encode_hello([1, 2])
+        payload = encode_hello()
         request = decode_control_response(payload)
-        assert request == {"op": "hello", "versions": [1, 2]}
+        assert request == {"op": "hello", "versions": [PROTOCOL_VERSION]}
 
     def test_decode_hello_extracts_the_session_parameters(self):
         hello = decode_hello(
-            {"ok": True, "version": 2, "versions": [1, 2], "server": "x",
+            {"ok": True, "version": PROTOCOL_VERSION, "server": "x",
              "max_frame_size": 512},
             fallback_max_frame_size=1024,
         )
-        assert hello.version == 2
-        assert hello.versions == (1, 2)
         assert hello.software == "x"
         assert hello.max_frame_size == 512
 
     def test_decode_hello_defaults_and_errors(self):
-        hello = decode_hello({"ok": True, "version": 1}, fallback_max_frame_size=99)
+        hello = decode_hello(
+            {"ok": True, "version": PROTOCOL_VERSION}, fallback_max_frame_size=99
+        )
         assert hello.max_frame_size == 99
         with pytest.raises(WireProtocolError):
             decode_hello({"ok": True}, fallback_max_frame_size=99)
+        with pytest.raises(WireProtocolError):
+            decode_hello({"ok": False, "error": "busy"}, fallback_max_frame_size=99)
+
+    def test_decode_hello_raises_a_typed_version_error(self):
+        # A provider that accepted another version, or refused ours while
+        # listing what it speaks: both are version errors, whatever the text.
+        for response in (
+            {"ok": True, "version": PROTOCOL_VERSION + 1},
+            {"ok": False, "error": "", "versions": [PROTOCOL_VERSION + 1]},
+        ):
+            with pytest.raises(ProtocolVersionError):
+                decode_hello(response, fallback_max_frame_size=99)
 
     def test_malformed_control_payloads_rejected(self):
         with pytest.raises(WireProtocolError):

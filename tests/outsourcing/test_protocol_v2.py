@@ -1,4 +1,4 @@
-"""Tests for protocol v2: new message kinds, versioning, wire dispatch."""
+"""Tests for the CRUD/batch/index message kinds, version checks and wire dispatch."""
 
 from __future__ import annotations
 
@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 
 from repro.core.dph import EncryptedQuery, EncryptedRelation, EncryptedTuple, EvaluationResult
 from repro.outsourcing.protocol import (
+    MAGIC,
+    PROTOCOL_VERSION,
     Message,
     MessageKind,
-    MessageV2,
-    PROTOCOL_V1,
-    PROTOCOL_V2,
     ProtocolError,
-    SUPPORTED_VERSIONS,
-    V2_MAGIC,
+    ProtocolVersionError,
     decode_count,
     decode_evaluation_result,
     decode_query_batch,
@@ -26,9 +24,7 @@ from repro.outsourcing.protocol import (
     encode_query_batch,
     encode_result_batch,
     encode_tuple_ids,
-    negotiate_version,
     parse_message,
-    peek_version,
 )
 from repro.relational import RelationSchema, Selection
 
@@ -69,19 +65,19 @@ def test_property_query_batch_roundtrip(queries):
 @given(kind=kinds_strategy, name=names_strategy, body=bodies_strategy)
 @settings(max_examples=60, deadline=None)
 def test_property_v2_envelope_roundtrip(kind, name, body):
-    message = MessageV2(kind=kind, relation_name=name, body=body)
-    assert MessageV2.from_bytes(message.to_bytes()) == message
+    message = Message(kind=kind, relation_name=name, body=body)
+    assert Message.from_bytes(message.to_bytes()) == message
     assert parse_message(message.to_bytes()) == message
 
 
 @given(kind=kinds_strategy, name=names_strategy, body=bodies_strategy)
 @settings(max_examples=60, deadline=None)
 def test_property_v2_envelope_truncation_rejected(kind, name, body):
-    raw = MessageV2(kind=kind, relation_name=name, body=body).to_bytes()
+    raw = Message(kind=kind, relation_name=name, body=body).to_bytes()
     with pytest.raises(ProtocolError):
-        MessageV2.from_bytes(raw[:-1])
+        Message.from_bytes(raw[:-1])
     with pytest.raises(ProtocolError):
-        MessageV2.from_bytes(raw + b"x")
+        Message.from_bytes(raw + b"x")
 
 
 @given(tuple_ids=tuple_ids_strategy)
@@ -137,41 +133,17 @@ class TestCounts:
 
 
 class TestVersioning:
-    def test_peek_distinguishes_versions(self):
-        v1 = Message(kind=MessageKind.QUERY, relation_name="emp", body=b"b")
-        v2 = MessageV2(kind=MessageKind.QUERY, relation_name="emp", body=b"b")
-        assert peek_version(v1.to_bytes()) == PROTOCOL_V1
-        assert peek_version(v2.to_bytes()) == PROTOCOL_V2
-        assert v1.version == PROTOCOL_V1
-        assert v2.version == PROTOCOL_V2
-
     def test_unknown_future_version_rejected(self):
-        raw = V2_MAGIC + bytes([7]) + b"\x00" * 12
-        assert peek_version(raw) == 7
-        with pytest.raises(ProtocolError):
-            MessageV2.from_bytes(raw)
-        with pytest.raises(ProtocolError):
-            parse_message(raw)
-
-    def test_v2_only_kind_rejected_in_v1_envelope(self):
-        for kind in (MessageKind.DELETE_TUPLES, MessageKind.BATCH_QUERY,
-                     MessageKind.BATCH_RESULT):
-            raw = Message(kind=kind, relation_name="emp").to_bytes()
-            with pytest.raises(ProtocolError, match="requires protocol version"):
-                Message.from_bytes(raw)
-
-    def test_negotiation_picks_highest_common(self):
-        assert negotiate_version((1, 2), (1, 2)) == 2
-        assert negotiate_version((1,), (1, 2)) == 1
-        assert negotiate_version(SUPPORTED_VERSIONS, (2,)) == 2
-
-    def test_negotiation_fails_without_common_version(self):
-        with pytest.raises(ProtocolError):
-            negotiate_version((1,), (2,))
-
+        raw = Message(kind=MessageKind.QUERY, relation_name="emp", body=b"b").to_bytes()
+        for version in (1, 2, 4, 7):
+            other = raw[: len(MAGIC)] + bytes([version]) + raw[len(MAGIC) + 1:]
+            with pytest.raises(ProtocolVersionError):
+                Message.from_bytes(other)
+            with pytest.raises(ProtocolVersionError):
+                parse_message(other)
 
 class TestWireDispatch:
-    """The server's handle_message speaks both envelope versions."""
+    """The server's handle_message serves every request kind."""
 
     @pytest.fixture
     def loaded_server(self, swp_dph, employee_relation):
@@ -180,7 +152,7 @@ class TestWireDispatch:
 
         server = OutsourcedDatabaseServer()
         server.register_evaluator("Emp", swp_dph.server_evaluator())
-        store = MessageV2(
+        store = Message(
             kind=MessageKind.STORE_RELATION,
             relation_name="Emp",
             body=encode_encrypted_relation(swp_dph.encrypt_relation(employee_relation)),
@@ -193,45 +165,28 @@ class TestWireDispatch:
     def test_query_v2_carries_statistics(self, loaded_server, swp_dph):
         from repro.outsourcing.protocol import encode_encrypted_query
 
-        query = MessageV2(
+        query = Message(
             kind=MessageKind.QUERY,
             relation_name="Emp",
             body=encode_encrypted_query(swp_dph.encrypt_query(Selection.equals("dept", "HR"))),
         )
         response = parse_message(loaded_server.handle_message(query.to_bytes()))
         assert response.kind is MessageKind.QUERY_RESULT
-        assert response.version == PROTOCOL_V2
         result, _ = decode_evaluation_result(response.body)
         assert len(result.matching) == 2
         assert result.examined == 5
 
-    def test_query_v1_is_still_served(self, loaded_server, swp_dph):
-        from repro.outsourcing.protocol import (
-            decode_encrypted_relation,
-            encode_encrypted_query,
-        )
-
-        query = Message(
-            kind=MessageKind.QUERY,
-            relation_name="Emp",
-            body=encode_encrypted_query(swp_dph.encrypt_query(Selection.equals("dept", "IT"))),
-        )
-        response = parse_message(loaded_server.handle_message(query.to_bytes()))
-        assert response.version == PROTOCOL_V1
-        assert response.kind is MessageKind.QUERY_RESULT
-        assert len(decode_encrypted_relation(response.body)) == 2
-
     def test_delete_tuples_by_id(self, loaded_server):
         stored = loaded_server.stored_relation("Emp")
         victims = [t.tuple_id for t in stored.encrypted_tuples[:2]]
-        delete = MessageV2(
-            kind=MessageKind.DELETE_TUPLES,
+        delete = Message(
+            kind=MessageKind.DELETE_TUPLES_EXACT,
             relation_name="Emp",
             body=encode_tuple_ids(victims + [b"no-such-id"]),
         )
         response = parse_message(loaded_server.handle_message(delete.to_bytes()))
-        assert response.kind is MessageKind.ACK
-        assert decode_count(response.body) == 2
+        assert response.kind is MessageKind.TUPLE_IDS
+        assert decode_tuple_ids(response.body) == tuple(victims)
         assert len(loaded_server.stored_relation("Emp")) == 3
 
     def test_batch_query(self, loaded_server, swp_dph):
@@ -239,7 +194,7 @@ class TestWireDispatch:
             swp_dph.encrypt_query(Selection.equals("dept", "HR")),
             swp_dph.encrypt_query(Selection.equals("dept", "SALES")),
         ]
-        batch = MessageV2(
+        batch = Message(
             kind=MessageKind.BATCH_QUERY,
             relation_name="Emp",
             body=encode_query_batch(queries),
@@ -252,7 +207,7 @@ class TestWireDispatch:
     def test_errors_come_back_as_error_messages(self, loaded_server, swp_dph):
         from repro.outsourcing.protocol import encode_encrypted_query
 
-        query = MessageV2(
+        query = Message(
             kind=MessageKind.QUERY,
             relation_name="missing",
             body=encode_encrypted_query(swp_dph.encrypt_query(Selection.equals("dept", "HR"))),
@@ -262,13 +217,15 @@ class TestWireDispatch:
         assert b"missing" in response.body
 
     def test_malformed_body_comes_back_as_error(self, loaded_server):
-        bad = MessageV2(kind=MessageKind.DELETE_TUPLES, relation_name="Emp", body=b"\x01")
+        bad = Message(
+            kind=MessageKind.DELETE_TUPLES_EXACT, relation_name="Emp", body=b"\x01"
+        )
         response = parse_message(loaded_server.handle_message(bad.to_bytes()))
         assert response.kind is MessageKind.ERROR
 
     def test_list_tuple_ids_returns_ids_without_ciphertexts(self, loaded_server):
         stored = loaded_server.stored_relation("Emp")
-        request = MessageV2(kind=MessageKind.LIST_TUPLE_IDS, relation_name="Emp")
+        request = Message(kind=MessageKind.LIST_TUPLE_IDS, relation_name="Emp")
         response = parse_message(loaded_server.handle_message(request.to_bytes()))
         assert response.kind is MessageKind.TUPLE_IDS
         ids = decode_tuple_ids(response.body)
@@ -277,7 +234,7 @@ class TestWireDispatch:
         assert len(response.body) < stored.size_in_bytes()
 
     def test_list_tuple_ids_rejects_a_body(self, loaded_server):
-        request = MessageV2(
+        request = Message(
             kind=MessageKind.LIST_TUPLE_IDS, relation_name="Emp", body=b"junk"
         )
         response = parse_message(loaded_server.handle_message(request.to_bytes()))
@@ -285,53 +242,40 @@ class TestWireDispatch:
         assert b"no body" in response.body
 
     def test_list_tuple_ids_unknown_relation_is_an_error(self, loaded_server):
-        request = MessageV2(kind=MessageKind.LIST_TUPLE_IDS, relation_name="missing")
+        request = Message(kind=MessageKind.LIST_TUPLE_IDS, relation_name="missing")
         response = parse_message(loaded_server.handle_message(request.to_bytes()))
         assert response.kind is MessageKind.ERROR
-
-    def test_list_tuple_ids_is_v2_only(self):
-        # Hand-build a v1 envelope carrying the v2-only kind: rejected.
-        raw = (
-            (len("list-tuple-ids")).to_bytes(4, "big") + b"list-tuple-ids"
-            + (3).to_bytes(4, "big") + b"Emp"
-            + (0).to_bytes(4, "big")
-        )
-        with pytest.raises(ProtocolError, match="version >= 2"):
-            Message.from_bytes(raw)
 
     def test_peek_envelope_matches_the_full_parse(self, loaded_server):
         from repro.outsourcing.protocol import peek_envelope
 
         for envelope in (
-            MessageV2(kind=MessageKind.QUERY, relation_name="Emp", body=b"x" * 64),
+            Message(kind=MessageKind.QUERY, relation_name="Emp", body=b"x" * 64),
             Message(kind=MessageKind.INSERT_TUPLE, relation_name="Other", body=b"y"),
-            MessageV2(kind=MessageKind.LIST_TUPLE_IDS, relation_name="Emp"),
+            Message(kind=MessageKind.LIST_TUPLE_IDS, relation_name="Emp"),
         ):
             raw = envelope.to_bytes()
             parsed = parse_message(raw)
             assert peek_envelope(raw) == (
-                parsed.version, parsed.kind, parsed.relation_name
+                PROTOCOL_VERSION, parsed.kind, parsed.relation_name
             )
 
     def test_peek_envelope_rejects_what_the_parsers_reject(self):
         from repro.outsourcing.protocol import peek_envelope
 
-        good = MessageV2(kind=MessageKind.QUERY, relation_name="Emp", body=b"abc")
+        good = Message(kind=MessageKind.QUERY, relation_name="Emp", body=b"abc")
         raw = good.to_bytes()
         with pytest.raises(ProtocolError):
             peek_envelope(raw[:-1])  # truncated body
         with pytest.raises(ProtocolError):
             peek_envelope(raw + b"!")  # trailing bytes
+        unknown_kind = raw.replace(b"\x00\x00\x00\x05query", b"\x00\x00\x00\x05junk!")
+        with pytest.raises(ProtocolError, match="unknown message kind"):
+            peek_envelope(unknown_kind)
         with pytest.raises(ProtocolError):
-            peek_envelope(b"\x00\x00\x00\x05junk!")  # unknown kind
-        # v2-only kind in a v1 envelope is still a protocol violation.
-        v1_raw = (
-            (len("batch-query")).to_bytes(4, "big") + b"batch-query"
-            + (3).to_bytes(4, "big") + b"Emp"
-            + (0).to_bytes(4, "big")
-        )
-        with pytest.raises(ProtocolError, match="version >= 2"):
-            peek_envelope(v1_raw)
+            parse_message(unknown_kind)
+        with pytest.raises(ProtocolVersionError):
+            peek_envelope(raw[:3] + b"\x02" + raw[4:])
 
     def test_list_tuple_ids_is_audited(self, loaded_server):
         from repro.outsourcing.audit import AuditEventKind

@@ -1,4 +1,4 @@
-"""The v3 envelope: trace ids on the wire and the O(1) raw-frame helpers."""
+"""The trace-id trailer of the envelope and the O(1) raw-frame helpers."""
 
 from __future__ import annotations
 
@@ -6,117 +6,91 @@ import pytest
 
 from repro.outsourcing import protocol
 from repro.outsourcing.protocol import (
-    PROTOCOL_V1,
-    PROTOCOL_V2,
-    PROTOCOL_V3,
+    PROTOCOL_VERSION,
     TRACE_ID_SIZE,
     Message,
     MessageKind,
-    MessageV2,
     ProtocolError,
 )
 
 TID = bytes(range(TRACE_ID_SIZE))
 
 
-def _v2_frame(body: bytes = b"payload") -> bytes:
-    return MessageV2(
-        kind=MessageKind.QUERY, relation_name="Emp", body=body
-    ).to_bytes()
+def _frame(body: bytes = b"payload") -> bytes:
+    return Message(kind=MessageKind.QUERY, relation_name="Emp", body=body).to_bytes()
 
 
 class TestMessageV3:
-    def test_version_follows_the_trace_id(self):
-        untraced = MessageV2(kind=MessageKind.QUERY, relation_name="Emp")
-        traced = MessageV2(
-            kind=MessageKind.QUERY, relation_name="Emp", trace_id=TID
+    def test_frame_layout(self):
+        # DPH | 3 | kind | relation | body | trace id, each variable part
+        # length-prefixed with 4 big-endian bytes; untraced is all-zero.
+        fields = (
+            b"DPH\x03"
+            + b"\x00\x00\x00\x05query"
+            + b"\x00\x00\x00\x03Emp"
+            + b"\x00\x00\x00\x02ab"
         )
-        assert untraced.version == PROTOCOL_V2
-        assert traced.version == PROTOCOL_V3
+        traced = Message(
+            kind=MessageKind.QUERY, relation_name="Emp", body=b"ab", trace_id=TID
+        )
+        untraced = Message(kind=MessageKind.QUERY, relation_name="Emp", body=b"ab")
+        assert traced.to_bytes() == fields + TID
+        assert untraced.to_bytes() == fields + bytes(TRACE_ID_SIZE)
+        assert protocol.parse_message(fields + TID) == traced
+        assert protocol.parse_message(fields + bytes(TRACE_ID_SIZE)) == untraced
 
     def test_round_trip_preserves_the_trace_id(self):
-        message = MessageV2(
+        message = Message(
             kind=MessageKind.INSERT_TUPLE, relation_name="Emp", body=b"x" * 33,
             trace_id=TID,
         )
-        parsed = MessageV2.from_bytes(message.to_bytes())
+        parsed = Message.from_bytes(message.to_bytes())
         assert parsed.trace_id == TID
         assert parsed.kind is MessageKind.INSERT_TUPLE
         assert parsed.relation_name == "Emp"
         assert parsed.body == b"x" * 33
 
     def test_wrong_size_trace_id_is_rejected_at_serialization(self):
-        message = MessageV2(
+        message = Message(
             kind=MessageKind.QUERY, relation_name="Emp", trace_id=b"short"
         )
         with pytest.raises(ProtocolError, match="16 bytes"):
             message.to_bytes()
 
     def test_truncated_v3_frame_is_rejected(self):
-        raw = protocol.attach_trace(_v2_frame(), TID)
+        raw = protocol.attach_trace(_frame(), TID)
         with pytest.raises(ProtocolError):
-            MessageV2.from_bytes(raw[: len(raw) - TRACE_ID_SIZE + 3][:12])
-
-    def test_supported_versions_advertise_v3(self):
-        assert PROTOCOL_V3 in protocol.SUPPORTED_VERSIONS
-        assert protocol.negotiate_version((1, 2, 3), (1, 2, 3)) == PROTOCOL_V3
-        # a pre-trace peer drags the session down to what it speaks
-        assert protocol.negotiate_version((1, 2, 3), (1, 2)) == PROTOCOL_V2
-        assert protocol.negotiate_version((1, 2, 3), (1,)) == PROTOCOL_V1
+            Message.from_bytes(raw[: len(raw) - TRACE_ID_SIZE + 3][:12])
 
 
 class TestRawHelpers:
-    def test_attach_flips_the_version_and_appends_the_id(self):
-        raw = _v2_frame()
+    def test_attach_splices_the_id_into_the_trailer(self):
+        raw = _frame()
         traced = protocol.attach_trace(raw, TID)
-        assert protocol.peek_version(traced) == PROTOCOL_V3
+        assert len(traced) == len(raw)
         assert traced[-TRACE_ID_SIZE:] == TID
-        # the kind/name/body encoding is reused verbatim
-        assert traced[len(protocol.V2_MAGIC) + 1: -TRACE_ID_SIZE] == raw[
-            len(protocol.V2_MAGIC) + 1:
-        ]
-
-    def test_attach_is_an_identity_on_v1_frames(self):
-        raw = Message(kind=MessageKind.QUERY, relation_name="Emp").to_bytes()
-        assert protocol.attach_trace(raw, TID) == raw
-        assert protocol.peek_version(raw) == PROTOCOL_V1
+        # the header and kind/name/body encoding are reused verbatim
+        assert traced[:-TRACE_ID_SIZE] == raw[:-TRACE_ID_SIZE]
 
     def test_attach_twice_is_a_caller_bug(self):
-        traced = protocol.attach_trace(_v2_frame(), TID)
-        with pytest.raises(ProtocolError, match="v3"):
+        traced = protocol.attach_trace(_frame(), TID)
+        with pytest.raises(ProtocolError, match="already carries"):
             protocol.attach_trace(traced, TID)
 
     def test_attach_validates_the_id_size(self):
         with pytest.raises(ProtocolError, match="16 bytes"):
-            protocol.attach_trace(_v2_frame(), b"nope")
-
-    def test_strip_restores_the_exact_v2_bytes(self):
-        raw = _v2_frame(b"body bytes")
-        assert protocol.strip_trace(protocol.attach_trace(raw, TID)) == raw
-
-    def test_strip_passes_untraced_frames_through(self):
-        raw = _v2_frame()
-        assert protocol.strip_trace(raw) == raw
-        v1 = Message(kind=MessageKind.QUERY, relation_name="Emp").to_bytes()
-        assert protocol.strip_trace(v1) == v1
+            protocol.attach_trace(_frame(), b"nope")
 
     def test_peek_trace_id(self):
-        raw = _v2_frame()
+        raw = _frame()
         assert protocol.peek_trace_id(raw) is None
         assert protocol.peek_trace_id(protocol.attach_trace(raw, TID)) == TID
-
-    def test_parse_message_handles_all_three_versions(self):
-        v1 = Message(kind=MessageKind.QUERY, relation_name="Emp").to_bytes()
-        v2 = _v2_frame()
-        v3 = protocol.attach_trace(v2, TID)
-        assert isinstance(protocol.parse_message(v1), Message)
-        assert protocol.parse_message(v2).trace_id is None
-        assert protocol.parse_message(v3).trace_id == TID
+        assert protocol.parse_message(protocol.attach_trace(raw, TID)).trace_id == TID
 
     def test_peek_envelope_accepts_v3(self):
         version, kind, relation = protocol.peek_envelope(
-            protocol.attach_trace(_v2_frame(), TID)
+            protocol.attach_trace(_frame(), TID)
         )
-        assert version == PROTOCOL_V3
+        assert version == PROTOCOL_VERSION
         assert kind is MessageKind.QUERY
         assert relation == "Emp"

@@ -8,9 +8,12 @@ from repro.core import SearchableSelectDph
 from repro.outsourcing import (
     AuditEventKind,
     ClientError,
+    ErrorReply,
+    MessageKind,
     OutsourcedDatabaseServer,
     OutsourcingClient,
     ServerError,
+    protocol,
 )
 from repro.relational import Relation, RelationSchema, Selection
 from repro.relational.tuples import RelationTuple
@@ -25,6 +28,18 @@ def server():
 @pytest.fixture
 def client(swp_dph, server):
     return OutsourcingClient(swp_dph, server)
+
+
+def _query(server, name, encrypted_query):
+    """One QUERY envelope through the request seam; the decoded result."""
+    response = protocol.request(
+        server,
+        MessageKind.QUERY,
+        name,
+        protocol.encode_encrypted_query(encrypted_query),
+        expect=MessageKind.QUERY_RESULT,
+    )
+    return protocol.decode_query_result(response.body)
 
 
 class TestServer:
@@ -44,13 +59,13 @@ class TestServer:
     def test_unknown_relation_rejected(self, server, swp_dph):
         with pytest.raises(ServerError):
             server.stored_relation("missing")
-        with pytest.raises(ServerError):
-            server.execute_query("missing", swp_dph.encrypt_query(Selection.equals("dept", "HR")))
+        with pytest.raises(ErrorReply, match="missing"):
+            _query(server, "missing", swp_dph.encrypt_query(Selection.equals("dept", "HR")))
 
     def test_execute_query_and_audit(self, swp_dph, employee_relation, server):
         server.store_relation("emp", swp_dph.encrypt_relation(employee_relation),
                               swp_dph.server_evaluator())
-        result = server.execute_query("emp", swp_dph.encrypt_query(Selection.equals("dept", "HR")))
+        result = _query(server, "emp", swp_dph.encrypt_query(Selection.equals("dept", "HR")))
         assert len(result.matching) == 2
         sizes = server.audit_log.query_result_sizes("emp")
         assert sizes == [2]
@@ -60,14 +75,20 @@ class TestServer:
         server.store_relation("emp", swp_dph.encrypt_relation(employee_relation),
                               swp_dph.server_evaluator())
         other = HacigumusDph(employee_schema, secret_key, rng=rng)
-        with pytest.raises(ServerError):
-            server.execute_query("emp", other.encrypt_query(Selection.equals("dept", "HR")))
+        with pytest.raises(ErrorReply, match="does not match"):
+            _query(server, "emp", other.encrypt_query(Selection.equals("dept", "HR")))
 
     def test_insert_tuple(self, swp_dph, employee_relation, employee_schema, server):
         server.store_relation("emp", swp_dph.encrypt_relation(employee_relation),
                               swp_dph.server_evaluator())
         new_tuple = RelationTuple(employee_schema, {"name": "Eve", "dept": "HR", "salary": 1})
-        server.insert_tuple("emp", swp_dph.encrypt_tuple(new_tuple))
+        protocol.request(
+            server,
+            MessageKind.INSERT_TUPLE,
+            "emp",
+            protocol.encode_encrypted_tuple(swp_dph.encrypt_tuple(new_tuple)),
+            expect=MessageKind.ACK,
+        )
         assert len(server.stored_relation("emp")) == len(employee_relation) + 1
         assert len(server.audit_log.events_of_kind(AuditEventKind.TUPLE_INSERTED)) == 1
 
@@ -100,6 +121,12 @@ class TestClient:
         other = Relation(RelationSchema.parse("Other(x:string[3])"))
         with pytest.raises(ClientError):
             client.outsource(other)
+
+    def test_provider_errors_surface_as_server_errors(self, client):
+        # nothing outsourced yet: the provider answers the query with ERROR
+        with pytest.raises(ServerError) as excinfo:
+            client.select(Selection.equals("dept", "HR"))
+        assert isinstance(excinfo.value.__cause__, ErrorReply)
 
     def test_relation_name_defaults_to_schema_name(self, client):
         assert client.relation_name == "Emp"

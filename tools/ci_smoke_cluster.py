@@ -303,7 +303,7 @@ def smoke_indexed_fleet() -> int:
 
         key = SecretKey.generate()
         with EncryptedDatabase.connect(url, key, timeout=STARTUP_TIMEOUT_S) as db:
-            if not db.index_active:
+            if not db.index_enabled:
                 print("FAIL: session did not activate indexed serving")
                 return 1
             db.create_table(
@@ -320,7 +320,7 @@ def smoke_indexed_fleet() -> int:
             if len(outcome.relation) != expected:
                 print(f"FAIL: indexed select answered {len(outcome.relation)} rows")
                 return 1
-            if not db.index_active:
+            if not db.index_enabled:
                 print("FAIL: the fleet pushed the session back to scans")
                 return 1
             examined = outcome.evaluation.examined if outcome.evaluation else None

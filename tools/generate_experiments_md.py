@@ -24,9 +24,10 @@ PREAMBLE = """\
 
 The ICDE 2006 poster contains no numbered tables or figures; its evaluation is
 a set of worked attack examples and qualitative claims about the construction.
-`DESIGN.md` (section 5) maps each claim to an experiment id (E1–E10, plus the
-ablation A1); this file records, for each one, the paper's claim, the expected
-shape of the result, and the table measured in this repository.
+Each claim maps to an experiment id (E1–E10, plus the ablation A1; see
+`repro.experiments.registry`); this file records, for each one, the paper's
+claim, the expected shape of the result, and the table measured in this
+repository.
 
 *How these numbers were produced.* `pytest benchmarks/ --benchmark-only`
 regenerates every table below; each benchmark writes its table to
@@ -39,7 +40,7 @@ resolution is therefore roughly ±0.1 on success probabilities (Wilson 95%).
 
 This reproduction substitutes laptop-scale simulation for the paper's (never
 reported) testbed, so the comparison is about *shape*: who wins each game, by
-roughly what factor, and how costs scale. See DESIGN.md §4 for substitutions.
+roughly what factor, and how costs scale.
 """
 
 SECTIONS = [
