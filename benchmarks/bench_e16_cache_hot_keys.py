@@ -5,7 +5,7 @@ million-user shape, where a handful of hot keys carry most of the load --
 re-sends byte-identical encrypted query tokens over and over, and the
 deterministic token encoding makes those repeats cacheable without ever
 touching plaintext.  Two deployments against real ``repro serve``
-subprocesses over the async transport:
+subprocesses:
 
 * **single node, client cache** -- each session keeps a private
   ``(relation, token)`` result cache; repeats skip the provider entirely.
@@ -169,7 +169,7 @@ def run_e16_cache_hot_keys():
     table = ExperimentTable(
         title=(
             f"E16: hot-key read cache ({QUERIES} zipfian point selects, "
-            f"exponent {ZIPF_EXPONENT}, table {TABLE_SIZE}, async transport, "
+            f"exponent {ZIPF_EXPONENT}, table {TABLE_SIZE}, "
             f"steady state after one warm-up burst)"
         ),
         columns=["topology", "sessions", "cache", "elapsed ms", "ops/s",
@@ -179,9 +179,9 @@ def run_e16_cache_hot_keys():
     with ProviderFleet.spawn(1) as single, ProviderFleet.spawn(FLEET_SHARDS) as fleet:
         topologies = (
             ("single node", "single", "client",
-             f"tcp://{single.addresses[0]}?async=1"),
+             f"tcp://{single.addresses[0]}"),
             (f"{FLEET_SHARDS}-shard fleet", "fleet", "coordinator",
-             "cluster://" + ",".join(fleet.addresses) + "?async=1"),
+             "cluster://" + ",".join(fleet.addresses)),
         )
         for label, key, tier, url in topologies:
             _seed_relation(url, secret_key)

@@ -1,7 +1,9 @@
-"""Setuptools shim for environments without the ``wheel`` package.
+"""Setuptools shim for legacy (non-PEP 517) installs.
 
-``pip install -e . --no-build-isolation --no-use-pep517`` uses this file to
-perform a legacy editable install; all metadata lives in ``pyproject.toml``.
+All metadata lives in ``pyproject.toml``; this file only lets the legacy
+code paths find it: ``pip install -e . --no-build-isolation
+--no-use-pep517`` (which pip allows only when ``wheel`` is installed) or,
+where ``wheel`` is missing too, ``python setup.py develop``.
 """
 
 from setuptools import setup

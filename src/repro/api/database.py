@@ -239,7 +239,6 @@ class EncryptedDatabase:
         *,
         rng: RandomSource | None = None,
         scheme_options: dict | None = None,
-        pool_size: int = 4,
         timeout: float | None = 30.0,
         policy: str = "fail_fast",
         shard_timeout: float | None = None,
@@ -252,14 +251,13 @@ class EncryptedDatabase:
         A ``"tcp://host:port"`` URL transparently targets a remote provider
         (one started with ``repro serve``, see :mod:`repro.net`): the session
         speaks the same protocol frames as an in-process one, only carried
-        over a socket by a pooled :class:`~repro.net.client.RemoteServerProxy`.
-        ``pool_size`` and ``timeout`` configure that pool and are rejected
-        for non-URL providers (configure the server object directly).
-        Append ``?async=1`` to ride the *pipelined* transport instead
-        (:class:`~repro.net.aio.AsyncRemoteServerProxy`): one asyncio
-        connection multiplexing every in-flight request by correlation id
-        -- the same sync session API, but N concurrent callers share one
-        socket instead of a pool (``pool_size`` does not apply).
+        over a socket by a :class:`~repro.net.client.RemoteServerProxy`,
+        which gives each concurrent caller its own pooled blocking
+        connection.  ``timeout`` is the socket timeout of that proxy (of
+        every shard's proxy, for cluster URLs) and is rejected for non-URL
+        providers (configure the server object directly).  An ``async``
+        URL option, left from a removed pipelined transport, is accepted
+        and ignored.
 
         A ``"cluster://host:port,host:port,..."`` URL targets a *sharded*
         deployment (see :mod:`repro.cluster`): one
@@ -271,16 +269,19 @@ class EncryptedDatabase:
         ``replicas`` keyword; they must agree when both are given) stores
         every tuple on R shards, so reads stay complete -- failing over to
         surviving replicas, never degrading -- with up to R-1 providers
-        down: ``connect("cluster://h1:p1,h2:p2,h3:p3?replicas=2")``.  An
-        ``&async=1`` option drives the whole fleet over pipelined
-        connections from one event-loop thread (the scatter keeps every
-        shard's round trip in flight simultaneously instead of burning a
-        blocking thread per shard).
+        down: ``connect("cluster://h1:p1,h2:p2,h3:p3?replicas=2")``.  A
+        read (and :meth:`count`, :meth:`retrieve_all`) scatters from the
+        calling thread: it starts every remote shard's request, calls
+        in-process shards inline, then waits on all the sockets at once
+        -- connecting included -- so ``shard_timeout`` is one budget the
+        shards spend together.  The small management calls (register,
+        relation names, drop, per-shard counts) visit the shards one at
+        a time, each bounded by ``timeout``.
 
         A ``"cluster+file://fleet.json"`` URL restores a sharded session
         from a fleet manifest (``repro cluster spawn --manifest``): shard
-        addresses, stable ring ids, replication factor and transport all
-        come from the file, so a coordinator restart needs no re-supplied
+        addresses, stable ring ids and the replication factor all come
+        from the file, so a coordinator restart needs no re-supplied
         topology.
 
         An ``index=1`` URL option (``tcp://...?index=1``,
@@ -343,7 +344,6 @@ class EncryptedDatabase:
                         )
                     provider = ShardRouter.from_manifest(
                         manifest,
-                        pool_size=pool_size,
                         timeout=timeout,
                         policy=policy,
                         shard_timeout=shard_timeout,
@@ -354,7 +354,6 @@ class EncryptedDatabase:
                     url_index = parse_cluster_options(provider)[1].get("index")
                     provider = ShardRouter.connect(
                         provider,
-                        pool_size=pool_size,
                         timeout=timeout,
                         policy=policy,
                         shard_timeout=shard_timeout,
@@ -364,21 +363,12 @@ class EncryptedDatabase:
                     host, port, options = parse_tcp_options(provider)
                     url_index = options.get("index")
                     url_cache = options.get("cache")
-                    if options.get("async"):
-                        from repro.net.aio import AsyncRemoteServerProxy
-
-                        provider = AsyncRemoteServerProxy(
-                            host, port, timeout=timeout
-                        )
-                    else:
-                        provider = RemoteServerProxy(
-                            host, port, pool_size=pool_size, timeout=timeout
-                        )
+                    provider = RemoteServerProxy(host, port, timeout=timeout)
             except (_ServerError, ProtocolVersionError) as exc:
                 raise DatabaseError(str(exc)) from exc
-        elif (pool_size, timeout) != (4, 30.0):
+        elif timeout != 30.0:
             raise DatabaseError(
-                "pool_size/timeout apply to tcp:// and cluster:// URLs only; "
+                "timeout applies to tcp:// and cluster:// URLs only; "
                 "configure the server object directly"
             )
         try:

@@ -39,9 +39,8 @@ from dataclasses import dataclass, field
 #: Workload kinds the runner knows how to drive.
 BENCHMARKS = ("exact_select", "insert")
 
-#: Transport axis values (cluster uses ``shards`` providers; the ``-async``
-#: variants ride the pipelined ``?async=1`` client).
-TRANSPORTS = ("in-process", "tcp", "tcp-async", "cluster", "cluster-async")
+#: Transport axis values (cluster uses ``shards`` providers).
+TRANSPORTS = ("in-process", "tcp", "cluster")
 
 #: Key-popularity axis for read workloads: ``uniform`` cycles evenly over
 #: the table, ``zipfian`` skews towards hot keys (the million-user regime
@@ -127,9 +126,9 @@ class CellConfig:
             value = getattr(self, knob)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ConfigError(f"{knob} must be a positive integer, got {value!r}")
-        if self.transport.startswith("cluster"):
+        if self.transport == "cluster":
             if self.shards < 1:
-                raise ConfigError("cluster transports need shards >= 1")
+                raise ConfigError("the cluster transport needs shards >= 1")
         elif self.shards != 1:
             raise ConfigError(
                 f"transport {self.transport!r} runs one provider; shards must be 1"
@@ -155,9 +154,7 @@ class CellConfig:
             raise ConfigError(
                 f"unknown cache mode {self.cache!r}; pick one of {CACHE_MODES}"
             )
-        if self.cache in ("coordinator", "both") and not self.transport.startswith(
-            "cluster"
-        ):
+        if self.cache in ("coordinator", "both") and self.transport != "cluster":
             raise ConfigError(
                 f"cache mode {self.cache!r} needs a cluster transport "
                 "(the coordinator cache lives in the shard router)"

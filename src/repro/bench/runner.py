@@ -105,13 +105,9 @@ class ProviderFleet:
         return cls(procs, addresses)
 
     def url(self, cell: CellConfig) -> str:
-        if cell.transport.startswith("cluster"):
-            url = "cluster://" + ",".join(self.addresses)
-        else:
-            url = f"tcp://{self.addresses[0]}"
-        if cell.transport.endswith("-async"):
-            url += "?async=1"
-        return url
+        if cell.transport == "cluster":
+            return "cluster://" + ",".join(self.addresses)
+        return f"tcp://{self.addresses[0]}"
 
     def stop(self) -> None:
         for proc in self.procs:
@@ -203,7 +199,7 @@ def _measure_cell(
     try:
         if cell.uses_subprocess_fleet:
             fleet = ProviderFleet.spawn(
-                cell.shards if cell.transport.startswith("cluster") else 1
+                cell.shards if cell.transport == "cluster" else 1
             )
             url = fleet.url(cell)
             if cell.cache in ("coordinator", "both"):

@@ -21,7 +21,7 @@ the CLI exposes the reproduction's main entry points without writing any code:
     optionally file-backed, until interrupted.  Requests touching
     different relations dispatch in parallel (``--dispatch-workers``);
     same-relation requests stay FIFO.  Sessions connect with
-    ``EncryptedDatabase.connect("tcp://host:port[?async=1]")``.
+    ``EncryptedDatabase.connect("tcp://host:port[?index=1]")``.
 
 ``stats`` / ``trace``
     The observability plane of a running provider or fleet: ``stats``
@@ -50,7 +50,7 @@ the CLI exposes the reproduction's main entry points without writing any code:
     sets of a ``?replicas=R`` deployment), and ``status`` a running fleet
     over its stats control channel (by URL or ``--manifest``).  Sessions
     connect with
-    ``EncryptedDatabase.connect("cluster://h1:p1,...[?replicas=R&async=1]")``.
+    ``EncryptedDatabase.connect("cluster://h1:p1,...[?replicas=R&cache=1]")``.
 
 Examples::
 
@@ -477,9 +477,7 @@ def command_cluster_status(args: argparse.Namespace) -> int:
     unreachable = 0
     for shard_url in shard_urls:
         try:
-            with RemoteServerProxy.connect(
-                shard_url, pool_size=1, timeout=args.timeout
-            ) as proxy:
+            with RemoteServerProxy.connect(shard_url, timeout=args.timeout) as proxy:
                 stats = proxy.server_stats()
                 names = proxy.relation_names
                 counts = {name: proxy.tuple_count(name) for name in names}
@@ -570,7 +568,7 @@ def command_stats(args: argparse.Namespace) -> int:
         for shard_url in shard_urls:
             try:
                 with RemoteServerProxy.connect(
-                    shard_url, pool_size=1, timeout=args.timeout
+                    shard_url, timeout=args.timeout
                 ) as proxy:
                     snapshot = proxy.metrics().get("metrics")
             except (RemoteError, ProtocolVersionError) as exc:
@@ -638,7 +636,7 @@ def command_trace(args: argparse.Namespace) -> int:
         for shard_url in shard_urls:
             try:
                 with RemoteServerProxy.connect(
-                    shard_url, pool_size=1, timeout=args.timeout
+                    shard_url, timeout=args.timeout
                 ) as proxy:
                     if trace_id is not None:
                         spans.extend(proxy.collect_trace(trace_id))

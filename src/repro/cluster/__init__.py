@@ -15,12 +15,15 @@ horizontally scalable service:
 **Execution** (:mod:`repro.cluster.executor`)
     Scatter-gather with per-shard timeouts and a pluggable
     partial-failure policy: ``fail_fast`` for correctness-critical paths,
-    ``degraded`` for reads that should survive a dead shard.  Two
-    engines, one outcome model: a thread pool (one blocking call per
-    shard) and an event-loop scatter that drives every shard's round trip
-    concurrently from a single coordinator thread over pipelined
-    connections (``cluster://...?async=1``), cancelling stragglers
-    mid-flight on timeout.
+    ``degraded`` for reads that should survive a dead shard.  One
+    scatter path, on the caller's thread: it starts every remote shard's
+    request, calls in-process shards inline, then waits on all the
+    sockets -- connecting included -- with one ``selectors`` wait, so
+    every shard's budget ticks at once; a straggler's connection is
+    closed, never reused.  Whole-relation fetches and logical counts
+    take the same path; the small management fan-outs (register,
+    relation names, drop, per-shard counts) call the shards one at a
+    time, each bounded by the proxy timeout.
 
 **Topology persistence** (:mod:`repro.cluster.manifest`)
     Fleet manifests: shard ids/addresses, replication factor and ring
@@ -63,7 +66,6 @@ from repro.cluster.executor import (
     ShardOutcome,
     ShardTimeoutError,
     resolve_outcomes,
-    scatter_async,
 )
 from repro.cluster.manifest import (
     CLUSTER_FILE_URL_PREFIX,
@@ -104,7 +106,6 @@ __all__ = [
     "ShardOutcome",
     "ShardTimeoutError",
     "resolve_outcomes",
-    "scatter_async",
     "CLUSTER_FILE_URL_PREFIX",
     "ClusterManifest",
     "ManifestError",

@@ -1,11 +1,27 @@
 """Scatter-gather execution across a shard fleet.
 
-:class:`ScatterGatherExecutor` fans one operation out to many shards on a
-thread pool and gathers per-shard :class:`ShardOutcome`\\ s.  Threads (not a
-process pool) are the right tool here: an in-process shard is GIL-bound
-anyway, and a ``tcp://`` shard spends its time blocked on the socket while
-the remote provider does the work -- which is exactly where the near-linear
-scaling of the sharded deployment comes from.
+:class:`ScatterGatherExecutor` fans one operation out to many shards from
+the caller's own thread and gathers per-shard :class:`ShardOutcome`\\ s.
+There is no thread pool and no event loop.  A call is either
+
+* a *socket call* -- an object with ``start()``, ``fileno()``,
+  ``events()``, ``advance()``, ``result()`` and ``close()``, as
+  :class:`~repro.net.client.RemoteCall` provides for a remote shard --
+  or
+* a plain *thunk*, run inline (an in-process shard, or any call that is
+  not split at the wire).  The router's small management fan-outs
+  (register, relation names, drop, per-shard counts) are thunks, so they
+  call the shards one at a time, each bounded by the proxy timeout;
+  whole-relation fetches and logical counts are socket calls.
+
+One scatter first starts every socket call, then runs the thunks one
+after another, then waits on all the sockets with one ``selectors`` wait,
+advancing each call whenever its socket is ready, until each reply is
+complete.  A socket call never blocks -- connecting, the hello and sending
+wait on the socket like the reply does -- so remote shards work in
+parallel with each other and with the inline calls, and a slow, frozen or
+unreachable shard costs its own latency, not a thread and not the other
+shards' budget.
 
 Failure handling is a *policy*, not hard-coded:
 
@@ -16,46 +32,27 @@ Failure handling is a *policy*, not hard-coded:
   survivors; the caller is told which shards were missing so it can surface
   the result as partial.  At least one shard must answer.
 
-A per-shard ``timeout`` bounds how long the gather waits for each shard:
-every shard gets the *full* budget over its own wait window (it is not a
-shared deadline burned from scatter start, so a slow-but-within-budget
-shard is never misreported as timed out just because an earlier shard used
-up the wall clock).  A shard that exceeds its budget is reported as failed
-with :class:`ShardTimeoutError` (the worker thread is left to finish in
-the background -- Python offers no safe preemption -- but its result is
-discarded).  The worst-case wall clock of one gather is therefore
-``len(calls) * timeout``, not ``timeout``.  One caveat survives: when
-*every* worker is occupied by hung thunks (pool saturation across
-concurrent gathers), a queued call can exhaust its budget before a worker
-ever picks it up and is then reported as timed out without having run;
-:class:`~repro.cluster.router.ShardRouter` sizes its pool at 4x the shard
-count to keep that out of the single-gather path.
-
-The **event-loop scatter** (:func:`scatter_async` /
-:meth:`ScatterGatherExecutor.scatter_on_loop`) is the pipelined
-alternative: when every shard sits behind an asyncio proxy
-(:class:`~repro.net.aio.AsyncRemoteServerProxy`), one coordinator thread
-drives *all* shard round trips concurrently as coroutines -- no thread per
-shard, every shard's timeout ticking simultaneously, so the worst-case
-wall clock of one gather is ``timeout``, not ``len(calls) * timeout``.  A
-shard that exceeds its budget has its in-flight request *cancelled*
-(:func:`asyncio.wait_for`), which orphans the correlation id on the
-pipelined connection: the connection survives, the provider's late answer
-is dropped.  Outcome semantics (per-shard :class:`ShardOutcome`, policy
-resolution) are identical to the thread-pool path, so the router's
-failover and dedup logic is transport-agnostic.
+A per-shard ``timeout`` is one budget that every shard's clock spends at
+the same time, from the start of the scatter: one gather takes at most
+``timeout`` (plus whatever an inline thunk overruns, since a running thunk
+cannot be interrupted).  A socket call still unanswered at the deadline is
+closed -- its connection is dropped, never reused, so its late reply
+cannot reach a later caller -- and reported with
+:class:`ShardTimeoutError`; so is a thunk whose own run took longer than
+the budget (its result is discarded).  Replies that arrived by the
+deadline are always read, even when inline work ran past it.  A socket
+call may carry its own ``timeout`` (the proxy's timeout), which bounds its
+wait when the scatter has no budget or a longer one -- the same bound a
+thunk's round trip through the proxy has.
 """
 
 from __future__ import annotations
 
-import asyncio
+import selectors
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
-from repro.obs import current_trace, use_trace
 from repro.outsourcing.server import ServerError
 
 #: Any shard failure fails the operation.
@@ -119,115 +116,146 @@ class GatherResult:
 
 
 class ScatterGatherExecutor:
-    """A bounded thread pool that scatters callables across shards."""
+    """Scatters calls across shards from the caller's thread."""
 
-    def __init__(self, max_workers: int = 8, timeout: float | None = None) -> None:
-        if max_workers < 1:
-            raise ValueError("the executor needs at least one worker")
+    def __init__(self, timeout: float | None = None) -> None:
         self._timeout = timeout
-        self._max_workers = max_workers
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-cluster"
-        )
 
     @property
     def timeout(self) -> float | None:
         """Per-shard gather timeout in seconds (None waits forever)."""
         return self._timeout
 
-    @property
-    def max_workers(self) -> int:
-        """Size of the scatter thread pool."""
-        return self._max_workers
-
-    def close(self) -> None:
-        """Shut the pool down (outstanding work is still drained)."""
-        self._pool.shutdown(wait=False)
-
     def scatter(
         self,
-        calls: Sequence[tuple[str, Callable[[], Any]]],
+        calls: Sequence[tuple[str, Any]],
         timeout: float | None = None,
     ) -> list[ShardOutcome]:
-        """Run every ``(shard_id, thunk)`` concurrently; never raises itself.
+        """Run every ``(shard_id, call)`` concurrently; never raises itself.
 
-        Each shard is granted the full ``timeout`` over its own wait window:
-        the deadline restarts when the gather turns to that shard's future,
-        so a shard queued behind a slow sibling keeps its whole budget
-        instead of inheriting a deadline another shard already burned.
-        (If the pool stays saturated for the entire window the queued thunk
-        may still never run -- see the module docstring.)
+        Socket calls are started first, thunks then run inline, and one
+        ``selectors`` wait drives the calls to their replies (see the
+        module docstring).
+        Outcomes come back in ``calls`` order.
         """
         if timeout is None:
             timeout = self._timeout
-        # Capture the caller's ambient trace here: the thunks run on pool
-        # threads where the contextvar is unset, so _timed re-binds it.
-        trace = current_trace()
-        futures = [
-            (shard_id, self._pool.submit(self._timed, trace, thunk))
-            for shard_id, thunk in calls
-        ]
-        outcomes = []
-        for shard_id, future in futures:
-            wait_started = time.monotonic()
-            wait_started_wall = time.time()
-            try:
-                value, elapsed, started_wall = future.result(timeout=timeout)
-                outcomes.append(
-                    ShardOutcome(
-                        shard_id=shard_id,
-                        value=value,
-                        elapsed_s=elapsed,
-                        started_s=started_wall,
-                    )
+        outcomes: list[ShardOutcome | None] = [None] * len(calls)
+        waiting: dict[int, _Waiting] = {}
+        selector = selectors.DefaultSelector()
+
+        def finish(index, started_wall, started_mono, value=None, error=None):
+            outcomes[index] = ShardOutcome(
+                shard_id=calls[index][0],
+                value=value,
+                error=error,
+                elapsed_s=time.monotonic() - started_mono,
+                started_s=started_wall,
+            )
+
+        def settle(index, started_wall, started_mono, error=None):
+            """Close a socket call and record its outcome."""
+            call = calls[index][1]
+            value = None
+            if error is None:
+                try:
+                    value = call.result()
+                except Exception as exc:  # noqa: BLE001 - per-shard failures are data
+                    error = exc
+            call.close()
+            finish(index, started_wall, started_mono, value, error)
+
+        try:
+            scatter_started = time.monotonic()
+            for index, (_, call) in enumerate(calls):
+                if callable(call):
+                    continue
+                started_wall, started_mono = time.time(), time.monotonic()
+                try:
+                    call.start()
+                    fd, events = call.fileno(), call.events()
+                except Exception as exc:  # noqa: BLE001 - per-shard failures are data
+                    settle(index, started_wall, started_mono, exc)
+                    continue
+                # The scatter budget, or the call's own (a proxy's timeout)
+                # when that is shorter or the scatter has none.
+                budget = timeout
+                own = getattr(call, "timeout", None)
+                if own is not None and (budget is None or own < budget):
+                    budget = own
+                selector.register(fd, events, index)
+                waiting[index] = _Waiting(
+                    fd, events, started_wall, started_mono, budget,
+                    None if budget is None else scatter_started + budget,
                 )
-            except FutureTimeoutError:
-                outcomes.append(
-                    ShardOutcome(
-                        shard_id=shard_id,
-                        error=ShardTimeoutError(
-                            f"shard {shard_id!r} did not answer within "
-                            f"its {timeout}s budget"
-                        ),
-                        elapsed_s=time.monotonic() - wait_started,
-                        started_s=wait_started_wall,
-                    )
-                )
-            except Exception as exc:  # noqa: BLE001 - per-shard failures are data
-                outcomes.append(
-                    ShardOutcome(
-                        shard_id=shard_id,
-                        error=exc,
-                        elapsed_s=time.monotonic() - wait_started,
-                        started_s=wait_started_wall,
-                    )
-                )
+            for index, (shard_id, thunk) in enumerate(calls):
+                if not callable(thunk):
+                    continue
+                started_wall, started_mono = time.time(), time.monotonic()
+                try:
+                    value = thunk()
+                except Exception as exc:  # noqa: BLE001 - per-shard failures are data
+                    finish(index, started_wall, started_mono, error=exc)
+                    continue
+                if timeout is not None and time.monotonic() - started_mono > timeout:
+                    value, error = None, _timeout_error(shard_id, timeout)
+                else:
+                    error = None
+                finish(index, started_wall, started_mono, value, error)
+            while waiting:
+                deadlines = [w.deadline for w in waiting.values() if w.deadline is not None]
+                wait_s = None
+                if deadlines:
+                    wait_s = max(min(deadlines) - time.monotonic(), 0.0)
+                ready = set()
+                for key, _ in selector.select(wait_s):
+                    index = key.data
+                    ready.add(index)
+                    call = calls[index][1]
+                    entry = waiting[index]
+                    try:
+                        done, error = call.advance(), None
+                        if not done:
+                            fd, events = call.fileno(), call.events()
+                    except Exception as exc:  # noqa: BLE001 - per-shard failures are data
+                        done, error = True, exc
+                    if done:
+                        selector.unregister(entry.fd)
+                        del waiting[index]
+                        settle(index, entry.started_wall, entry.started_mono, error)
+                    elif fd != entry.fd:
+                        # The call replaced its connection.
+                        selector.unregister(entry.fd)
+                        entry.fd, entry.events = fd, events
+                        selector.register(fd, events, index)
+                    elif events != entry.events:
+                        entry.events = events
+                        selector.modify(fd, events, index)
+                # Past its deadline, a call is given up only after a wait
+                # that found its socket idle: bytes that arrived in time
+                # are always read.
+                now = time.monotonic()
+                for index, entry in list(waiting.items()):
+                    if index not in ready and entry.deadline is not None and entry.deadline <= now:
+                        selector.unregister(entry.fd)
+                        del waiting[index]
+                        settle(index, entry.started_wall, entry.started_mono,
+                               _timeout_error(calls[index][0], entry.budget))
+        finally:
+            # Calls still waiting here were cut short by a BaseException
+            # (e.g. KeyboardInterrupt): drop their connections.
+            for index in waiting:
+                calls[index][1].close()
+            selector.close()
         return outcomes
 
-    def scatter_on_loop(
-        self,
-        loop_thread,
-        calls: Sequence[tuple[str, Callable[[], Any]]],
-        timeout: float | None = None,
-    ) -> list[ShardOutcome]:
-        """Scatter coroutine factories on an event loop; never raises itself.
-
-        ``calls`` pairs each shard id with a *coroutine factory* (called on
-        the loop); ``loop_thread`` is an
-        :class:`~repro.net.aio.EventLoopThread` (anything with its ``run``
-        contract).  All shards' round trips are in flight simultaneously,
-        each under its own full ``timeout``; a shard that exceeds it has
-        its request cancelled mid-flight and is reported with
-        :class:`ShardTimeoutError`, exactly like the thread-pool path.
-        """
-        if timeout is None:
-            timeout = self._timeout
-        return loop_thread.run(scatter_async(calls, timeout))
+    #: ``perfbench/layers.py`` wraps both names; the router calls ``scatter``.
+    scatter_on_loop = scatter
 
     def gather(
         self,
         operation: str,
-        calls: Sequence[tuple[str, Callable[[], Any]]],
+        calls: Sequence[tuple[str, Any]],
         *,
         policy: str = FAIL_FAST,
         timeout: float | None = None,
@@ -237,61 +265,22 @@ class ScatterGatherExecutor:
             operation, self.scatter(calls, timeout=timeout), policy=policy
         )
 
-    @staticmethod
-    def _timed(trace, thunk: Callable[[], Any]) -> tuple[Any, float, float]:
-        started_wall = time.time()
-        started = time.monotonic()
-        with use_trace(trace):
-            value = thunk()
-        return value, time.monotonic() - started, started_wall
+
+@dataclass
+class _Waiting:
+    """A started socket call the scatter is waiting on."""
+
+    fd: int
+    events: int
+    started_wall: float
+    started_mono: float
+    budget: float | None
+    deadline: float | None
 
 
-async def scatter_async(
-    calls: Sequence[tuple[str, Callable[[], Any]]],
-    timeout: float | None = None,
-) -> list[ShardOutcome]:
-    """Run every ``(shard_id, coroutine factory)`` concurrently on this loop.
-
-    The event-loop twin of :meth:`ScatterGatherExecutor.scatter`: one task
-    per shard, all awaited together, each granted the full ``timeout``
-    concurrently.  Timeouts *cancel* the shard's in-flight coroutine
-    (pipelined connections orphan the correlation id and live on); other
-    per-shard exceptions become failed outcomes.  Never raises itself.
-    """
-
-    async def run_one(shard_id: str, factory: Callable[[], Any]) -> ShardOutcome:
-        started_wall = time.time()
-        started = time.monotonic()
-        try:
-            value = await asyncio.wait_for(factory(), timeout)
-        except asyncio.TimeoutError:
-            return ShardOutcome(
-                shard_id=shard_id,
-                error=ShardTimeoutError(
-                    f"shard {shard_id!r} did not answer within "
-                    f"its {timeout}s budget"
-                ),
-                elapsed_s=time.monotonic() - started,
-                started_s=started_wall,
-            )
-        except Exception as exc:  # noqa: BLE001 - per-shard failures are data
-            return ShardOutcome(
-                shard_id=shard_id,
-                error=exc,
-                elapsed_s=time.monotonic() - started,
-                started_s=started_wall,
-            )
-        return ShardOutcome(
-            shard_id=shard_id,
-            value=value,
-            elapsed_s=time.monotonic() - started,
-            started_s=started_wall,
-        )
-
-    return list(
-        await asyncio.gather(
-            *(run_one(shard_id, factory) for shard_id, factory in calls)
-        )
+def _timeout_error(shard_id: str, budget: float | None) -> ShardTimeoutError:
+    return ShardTimeoutError(
+        f"shard {shard_id!r} did not answer within its {budget}s budget"
     )
 
 

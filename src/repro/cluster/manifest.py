@@ -15,7 +15,6 @@ A :class:`ClusterManifest` captures that topology as a small JSON document:
       "version": 1,
       "replicas": 2,
       "virtual_nodes": 256,
-      "async": false,
       "shards": [
         {"shard_id": "shard-0", "url": "tcp://127.0.0.1:7707"},
         {"shard_id": "shard-1", "url": "tcp://127.0.0.1:7708"}
@@ -27,7 +26,9 @@ it starts, and ``EncryptedDatabase.connect("cluster+file://fleet.json")``
 (or ``repro cluster status --manifest fleet.json``) restores a session
 from it without re-supplying topology.  Shard ids in the manifest are the
 ring's key space: they survive address changes (repoint a shard's URL and
-its data placement is untouched) and coordinator restarts.
+its data placement is untouched) and coordinator restarts.  Manifests
+written while a pipelined client transport existed carry an ``"async"``
+field; it is read past and no longer written.
 """
 
 from __future__ import annotations
@@ -68,8 +69,6 @@ class ClusterManifest:
     shards: tuple[ShardEntry, ...]
     replicas: int = 1
     virtual_nodes: int = DEFAULT_VIRTUAL_NODES
-    #: Whether sessions should default to the pipelined async transport.
-    async_transport: bool = False
 
     def __post_init__(self) -> None:
         from repro.net.client import RemoteError, parse_tcp_url
@@ -119,8 +118,6 @@ class ClusterManifest:
         options = []
         if self.replicas != 1:
             options.append(f"replicas={self.replicas}")
-        if self.async_transport:
-            options.append("async=1")
         query = ("?" + "&".join(options)) if options else ""
         return f"cluster://{hosts}{query}"
 
@@ -130,7 +127,6 @@ class ClusterManifest:
             "version": MANIFEST_VERSION,
             "replicas": self.replicas,
             "virtual_nodes": self.virtual_nodes,
-            "async": self.async_transport,
             "shards": [
                 {"shard_id": entry.shard_id, "url": entry.url}
                 for entry in self.shards
@@ -166,14 +162,12 @@ class ClusterManifest:
         try:
             replicas = int(document.get("replicas", 1))
             virtual_nodes = int(document.get("virtual_nodes", DEFAULT_VIRTUAL_NODES))
-            async_transport = bool(document.get("async", False))
         except (TypeError, ValueError) as exc:
             raise ManifestError(f"malformed manifest field: {exc}") from exc
         return cls(
             shards=tuple(shards),
             replicas=replicas,
             virtual_nodes=virtual_nodes,
-            async_transport=async_transport,
         )
 
     def save(self, path: str | pathlib.Path) -> pathlib.Path:
@@ -214,7 +208,7 @@ def parse_cluster_file_url(url: str) -> pathlib.Path:
 
     Query strings are rejected rather than folded into the file name:
     the manifest itself carries the topology options, and a stray
-    ``?async=1`` silently becoming part of the path would surface as a
+    ``?replicas=2`` silently becoming part of the path would surface as a
     baffling "no such file" instead of the real mistake.
     """
     if not url.startswith(CLUSTER_FILE_URL_PREFIX):

@@ -65,6 +65,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from repro.cache import CacheError, ResultCache, coerce_cache_config
@@ -84,7 +85,7 @@ from repro.cluster.executor import (
     resolve_outcomes,
 )
 from repro.cluster.ring import ConsistentHashRing, DEFAULT_VIRTUAL_NODES
-from repro.obs import MetricsRegistry, current_trace_id, merge_snapshots
+from repro.obs import MetricsRegistry, merge_snapshots
 from repro.outsourcing import protocol
 from repro.outsourcing.protocol import Message, MessageKind, ProtocolError
 from repro.outsourcing.server import ServerError
@@ -95,17 +96,18 @@ CLUSTER_URL_PREFIX = "cluster://"
 
 
 def parse_cluster_options(url: str) -> tuple[tuple[str, ...], dict]:
-    """Split ``cluster://h1:p1,...?replicas=R&async=1`` into URLs and options.
+    """Split ``cluster://h1:p1,...?replicas=R&cache=1`` into URLs and options.
 
     Returns the per-shard ``tcp://`` URLs plus the parsed query options:
-    ``replicas`` (the replication factor of the deployment), ``async``
-    (drive the fleet over pipelined asyncio connections from one
-    event-loop thread instead of a blocking pool per shard), ``index``
+    ``replicas`` (the replication factor of the deployment), ``index``
     (the session maintains encrypted inverted indexes and serves exact
     selects through ``INDEX_LOOKUP``) and ``cache`` (the router keeps a
     coordinator-side result cache shared by every session it serves).
-    Unknown options are rejected rather than ignored: a typo silently
-    dropping ``?async=1`` would be a silent performance change.
+    ``async`` is still accepted, as a boolean, so URLs written for the
+    removed pipelined transport keep opening; it selects nothing and is
+    not returned.  Unknown options are rejected rather than ignored: a
+    typo silently dropping ``?cache=1`` would be a silent performance
+    change.
     """
     from repro.net.client import RemoteError, parse_bool_option, parse_tcp_url
 
@@ -130,13 +132,15 @@ def parse_cluster_options(url: str) -> tuple[tuple[str, ...], dict]:
                     ) from exc
             elif key in ("async", "index", "cache"):
                 try:
-                    options[key] = parse_bool_option(key, value)
+                    parsed = parse_bool_option(key, value)
                 except RemoteError as exc:
                     raise ClusterError(str(exc)) from exc
+                if key != "async":
+                    options[key] = parsed
             else:
                 raise ClusterError(
                     f"unknown cluster URL option {key!r} "
-                    "(supported: replicas, async, index, cache)"
+                    "(supported: replicas, index, cache)"
                 )
     parts = [part.strip() for part in rest.split(",")]
     parts = [part for part in parts if part]
@@ -202,22 +206,23 @@ class ClusterStats:
     ``cluster_<name>_total``), so one registry snapshot covers transport,
     provider, and routing activity alike; every historical attribute read
     (``stats.scatter_reads``, ...) keeps working through ``__getattr__``
-    and :meth:`as_dict` keeps its key set.  Scatters run on a thread pool
-    and several sessions may share one router, so mutations go through the
+    and :meth:`as_dict` keeps its key set.  Several sessions may share one
+    router from their own threads, so mutations go through the
     ``record_*`` methods (registry counters carry their own locks; the
     last-shard-id tuples share this object's lock) and :meth:`as_dict`
     returns an atomic snapshot of the tuple pair.
     """
 
+    # :meth:`as_dict` reads the counters in this order, one at a time.  A
+    # degraded or failover read is recorded after its scatter read, so
+    # reading those two before ``scatter_reads`` keeps every concurrent
+    # snapshot consistent (never more degraded than scatter reads).
     _COUNTERS = (
-        "scatter_reads",
         "degraded_reads",
         #: see record_failover_read: reads completed via surviving replicas.
         "failover_reads",
+        "scatter_reads",
         "routed_inserts",
-        # Scatters driven as coroutines on the event-loop thread (the
-        # pipelined async-transport path) rather than the thread pool.
-        "loop_scatters",
         # ``INDEX_LOOKUP`` scatters routed across the fleet.
         "index_lookups",
         # ``INDEX_PUT`` / ``INDEX_DELTA`` fan-outs.
@@ -254,9 +259,6 @@ class ClusterStats:
 
     def record_routed_insert(self) -> None:
         self._counters["routed_inserts"].inc()
-
-    def record_loop_scatter(self) -> None:
-        self._counters["loop_scatters"].inc()
 
     def record_index_lookup(self) -> None:
         self._counters["index_lookups"].inc()
@@ -305,9 +307,7 @@ class ShardRouter:
         virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
         policy: str = FAIL_FAST,
         shard_timeout: float | None = None,
-        pool_size: int = 4,
         timeout: float | None = 30.0,
-        async_transport: bool = False,
         cache=None,
     ) -> None:
         """Build a router over backends (server objects and/or tcp:// URLs).
@@ -338,18 +338,14 @@ class ShardRouter:
             what the replicas can absorb (``fail_fast`` or ``degraded``);
             writes are always fail-fast.
         shard_timeout:
-            Per-shard gather timeout in seconds (None waits forever).
-        pool_size / timeout:
-            Connection-pool settings for URL shards.
-        async_transport:
-            Open URL shards as pipelined asyncio proxies
-            (:class:`~repro.net.aio.AsyncRemoteServerProxy`) sharing one
-            event-loop thread, so every scatter drives all shard round
-            trips concurrently from that single thread instead of burning
-            a blocking thread per shard (``cluster://...?async=1``).
-            Envelope scatters then run on the event loop whenever every
-            addressed shard is pipelined; mixed fleets (object backends
-            alongside URLs) fall back to the thread pool per call.
+            Per-shard gather timeout in seconds, one budget all shards of a
+            scatter spend at once (None bounds a remote shard's wait by
+            ``timeout`` alone).
+        timeout:
+            Timeout of the proxies opened for URL shards: the longest one
+            request may take, connect included.  It also bounds each
+            small management call (register, relation names, drop,
+            per-shard counts), which visit the shards one at a time.
         cache:
             Keep a coordinator-side result cache (see :mod:`repro.cache`):
             repeated hot reads are answered from the router's memory
@@ -384,16 +380,7 @@ class ShardRouter:
             )
         self._policy = policy
         self._replication = replicas
-        self._pool_size = pool_size
         self._timeout = timeout
-        self._loop_thread = None
-        if async_transport:
-            from repro.net.aio import EventLoopThread
-
-            # One loop thread for the whole fleet: every pipelined shard
-            # connection lives on it, and the event-loop scatter path
-            # drives all shard round trips from it concurrently.
-            self._loop_thread = EventLoopThread("repro-cluster-aio").start()
         self._shards: dict[str, _Shard] = {}
         self._ring = ConsistentHashRing(virtual_nodes=virtual_nodes)
         self._evaluators: dict[str, ServerEvaluator] = {}
@@ -410,13 +397,7 @@ class ShardRouter:
             else None
         )
         self._closed = False
-        # Room for several concurrent scatters (threads are created lazily,
-        # so the headroom is free when idle).  Note the per-shard timeout is
-        # measured from the scatter call, so under heavier concurrency than
-        # this headroom it also covers time spent queued for a worker.
-        self._executor = ScatterGatherExecutor(
-            max_workers=self._pool_headroom(len(shards)), timeout=shard_timeout
-        )
+        self._executor = ScatterGatherExecutor(timeout=shard_timeout)
         try:
             for index, backend in enumerate(shards):
                 explicit = shard_ids[index] if shard_ids is not None else None
@@ -431,10 +412,6 @@ class ShardRouter:
             self.close()
             raise
 
-    @staticmethod
-    def _pool_headroom(shard_count: int) -> int:
-        return min(64, max(8, 4 * shard_count))
-
     @classmethod
     def connect(
         cls,
@@ -444,17 +421,14 @@ class ShardRouter:
         virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
         policy: str = FAIL_FAST,
         shard_timeout: float | None = None,
-        pool_size: int = 4,
         timeout: float | None = 30.0,
-        async_transport: bool | None = None,
         cache=None,
     ) -> "ShardRouter":
-        """Open a router from a ``cluster://h1:p1[?replicas=R&async=1]`` URL.
+        """Open a router from a ``cluster://h1:p1[?replicas=R&cache=1]`` URL.
 
-        The replication factor, the transport and the coordinator cache
-        can come from the URL query or the keywords (they must agree when
-        both are given); replication defaults to 1, the transport to
-        blocking pools, the cache to off.
+        The replication factor and the coordinator cache can come from the
+        URL query or the keywords (they must agree when both are given);
+        replication defaults to 1, the cache to off.
         """
         urls, options = parse_cluster_options(url)
         url_replicas = options.get("replicas")
@@ -464,14 +438,6 @@ class ShardRouter:
             raise ClusterError(
                 f"conflicting replication factors: the URL says "
                 f"{url_replicas}, the caller says {replicas}"
-            )
-        url_async = options.get("async")
-        if async_transport is None:
-            async_transport = bool(url_async) if url_async is not None else False
-        elif url_async is not None and url_async != async_transport:
-            raise ClusterError(
-                f"conflicting transports: the URL says async={url_async}, "
-                f"the caller says async_transport={async_transport}"
             )
         url_cache = options.get("cache")
         if cache is None:
@@ -487,9 +453,7 @@ class ShardRouter:
             virtual_nodes=virtual_nodes,
             policy=policy,
             shard_timeout=shard_timeout,
-            pool_size=pool_size,
             timeout=timeout,
-            async_transport=async_transport,
             cache=cache,
         )
 
@@ -500,20 +464,16 @@ class ShardRouter:
         *,
         policy: str = FAIL_FAST,
         shard_timeout: float | None = None,
-        pool_size: int = 4,
         timeout: float | None = 30.0,
-        async_transport: bool | None = None,
         cache=None,
     ) -> "ShardRouter":
         """Open a router from a :class:`~repro.cluster.manifest.ClusterManifest`.
 
         The manifest supplies the topology -- shard URLs *and their stable
-        ring ids*, replication factor, virtual-node count, default
-        transport -- so a coordinator restart reproduces the placement
-        ring exactly (no tuples look misplaced just because the shard
-        order changed hands).  Runtime knobs (policy, timeouts, pool
-        size) stay caller-side; ``async_transport`` overrides the
-        manifest's default when given.
+        ring ids*, replication factor, virtual-node count -- so a
+        coordinator restart reproduces the placement ring exactly (no
+        tuples look misplaced just because the shard order changed hands).
+        Runtime knobs (policy, timeouts, cache) stay caller-side.
         """
         return cls(
             manifest.shard_urls,
@@ -522,13 +482,7 @@ class ShardRouter:
             virtual_nodes=manifest.virtual_nodes,
             policy=policy,
             shard_timeout=shard_timeout,
-            pool_size=pool_size,
             timeout=timeout,
-            async_transport=(
-                manifest.async_transport
-                if async_transport is None
-                else async_transport
-            ),
             cache=cache,
         )
 
@@ -536,18 +490,9 @@ class ShardRouter:
         self, backend: Any, shard_id: str | None, index: int
     ) -> _Shard:
         if isinstance(backend, str):
-            if self._loop_thread is not None:
-                from repro.net.aio import AsyncRemoteServerProxy
+            from repro.net.client import RemoteServerProxy
 
-                proxy: Any = AsyncRemoteServerProxy.connect(
-                    backend, loop=self._loop_thread, timeout=self._timeout
-                )
-            else:
-                from repro.net.client import RemoteServerProxy
-
-                proxy = RemoteServerProxy.connect(
-                    backend, pool_size=self._pool_size, timeout=self._timeout
-                )
+            proxy = RemoteServerProxy.connect(backend, timeout=self._timeout)
             return _Shard(
                 shard_id=shard_id if shard_id is not None else backend,
                 server=proxy,
@@ -587,11 +532,6 @@ class ShardRouter:
     def replication(self) -> int:
         """Replication factor R: physical copies stored per tuple."""
         return self._replication
-
-    @property
-    def async_transport(self) -> bool:
-        """True when URL shards ride pipelined asyncio connections."""
-        return self._loop_thread is not None
 
     @property
     def stats(self) -> ClusterStats:
@@ -708,7 +648,7 @@ class ShardRouter:
         return spans
 
     def close(self) -> None:
-        """Close owned backends, the scatter pool, and the loop thread.
+        """Close owned backends.
 
         Idempotent: several sessions may share one router (the coordinator
         cache deployment), and each closing session closes its server.
@@ -719,9 +659,6 @@ class ShardRouter:
         for shard in self._shards.values():
             if shard.owned:
                 shard.server.close()
-        self._executor.close()
-        if self._loop_thread is not None:
-            self._loop_thread.stop()
 
     def __enter__(self) -> "ShardRouter":
         return self
@@ -766,9 +703,18 @@ class ShardRouter:
         surviving replicas still cover its data (read failover); otherwise
         the call fails fast regardless of the read policy.
         """
+        calls = []
+        for shard in self._shards.values():
+            # A remote shard's fetch is a socket call, so the copies
+            # travel in parallel; an in-process shard is called inline.
+            split = getattr(shard.server, "stored_relation_call", None)
+            if split is not None:
+                calls.append((shard.shard_id, split(name)))
+            else:
+                calls.append((shard.shard_id, partial(shard.server.stored_relation, name)))
         gathered = self._gather(
             f"stored-relation({name!r})",
-            self._all_shards(lambda server: server.stored_relation(name)),
+            calls,
             policy=FAIL_FAST,  # reassembling data must be complete
             read=True,
         )
@@ -801,16 +747,21 @@ class ShardRouter:
         """Distinct public tuple ids across the fleet (sorted, each once)."""
         return tuple(sorted(self._distinct_tuple_ids(name)))
 
-    def _distinct_tuple_ids(self, name: str) -> set[bytes]:
-        gathered = self._gather(
+    def _distinct_tuple_ids(self, name: str, raw: bytes | None = None) -> set[bytes]:
+        """Scatter ``LIST_TUPLE_IDS`` (``raw``, or a fresh envelope); the union."""
+        envelope = raw or Message(
+            kind=MessageKind.LIST_TUPLE_IDS, relation_name=name
+        ).to_bytes()
+        gathered = self._gather_envelopes(
             f"list-tuple-ids({name!r})",
-            self._all_shards(lambda server: server.list_tuple_ids(name)),
+            {shard_id: envelope for shard_id in self._shards},
+            expect=MessageKind.TUPLE_IDS,
             policy=FAIL_FAST,
             read=True,
         )
         ids: set[bytes] = set()
-        for shard_ids in gathered.values:
-            ids.update(shard_ids)
+        for response in gathered.values:
+            ids.update(protocol.decode_tuple_ids(response.body))
         return ids
 
     def drop_relation(self, name: str) -> None:
@@ -985,16 +936,7 @@ class ShardRouter:
                 protocol.encode_result_batch(merged_batch),
             ).to_bytes()
         if kind is MessageKind.LIST_TUPLE_IDS:
-            gathered = self._gather_envelopes(
-                f"list-tuple-ids({request.relation_name!r})",
-                {shard_id: raw for shard_id in self._shards},
-                expect=MessageKind.TUPLE_IDS,
-                policy=FAIL_FAST,
-                read=True,
-            )
-            ids: set[bytes] = set()
-            for response in gathered.values:
-                ids.update(protocol.decode_tuple_ids(response.body))
+            ids = self._distinct_tuple_ids(request.relation_name, raw)
             return self._respond(
                 request, MessageKind.TUPLE_IDS, protocol.encode_tuple_ids(sorted(ids))
             ).to_bytes()
@@ -1115,64 +1057,33 @@ class ShardRouter:
         policy: str,
         read: bool = False,
     ) -> GatherResult:
-        """Scatter per-shard envelopes, on the event loop when possible.
+        """Scatter per-shard envelopes and check every reply's kind.
 
-        When every addressed shard sits behind a pipelined asyncio proxy
-        (the ``async_transport`` fleet), the scatter runs as coroutines on
-        the router's loop thread -- one coordinator thread, all shard
-        round trips in flight at once, timeouts cancelling mid-flight.
-        Otherwise (in-process backends, mixed fleets, sync proxies) the
-        thread-pool scatter serves as the fallback.  Outcome resolution --
-        failover, policy, stats -- is identical either way.
+        A remote shard's envelope becomes a socket call
+        (:meth:`~repro.net.client.RemoteServerProxy.envelope_call`), so the
+        executor sends them all before waiting on any; an in-process shard
+        is called inline.
         """
         calls = [
-            self._envelope_call(shard_id, envelope, expect)
+            (shard_id, self._envelope_call(shard_id, envelope, expect))
             for shard_id, envelope in envelopes.items()
         ]
-        async_calls = None
-        if self._loop_thread is not None and all(
-            hasattr(self.shard(shard_id), "handle_message_async")
-            for shard_id in envelopes
-        ):
-            async_calls = [
-                self._envelope_call_async(shard_id, envelope, expect)
-                for shard_id, envelope in envelopes.items()
-            ]
-        return self._gather(
-            operation, calls, policy=policy, read=read, async_calls=async_calls
-        )
+        return self._gather(operation, calls, policy=policy, read=read)
 
-    @staticmethod
-    def _check_reply(shard_id: str, raw_response: bytes, expect: MessageKind) -> Message:
-        try:
-            return protocol.check_reply(raw_response, expect)
-        except ProtocolError as exc:
-            raise ClusterError(f"shard {shard_id!r}: {exc}") from exc
-
-    def _envelope_call(
-        self, shard_id: str, envelope: bytes, expect: MessageKind
-    ) -> tuple[str, Callable[[], Message]]:
+    def _envelope_call(self, shard_id: str, envelope: bytes, expect: MessageKind):
+        """A socket call for a remote shard, a thunk for an in-process one."""
         server = self.shard(shard_id)
 
-        def call() -> Message:
-            return self._check_reply(shard_id, server.handle_message(envelope), expect)
+        def check(reply: bytes) -> Message:
+            try:
+                return protocol.check_reply(reply, expect)
+            except ProtocolError as exc:
+                raise ClusterError(f"shard {shard_id!r}: {exc}") from exc
 
-        return shard_id, call
-
-    def _envelope_call_async(
-        self, shard_id: str, envelope: bytes, expect: MessageKind
-    ) -> tuple[str, Callable[[], Any]]:
-        server = self.shard(shard_id)
-        trace_id = current_trace_id()  # captured on the session thread
-
-        async def round_trip() -> Message:
-            return self._check_reply(
-                shard_id,
-                await server.handle_message_async(envelope, trace_id=trace_id),
-                expect,
-            )
-
-        return shard_id, round_trip
+        split = getattr(server, "envelope_call", None)
+        if split is not None:
+            return split(envelope, check)
+        return lambda: check(server.handle_message(envelope))
 
     # ------------------------------------------------------------------ #
     # Elastic membership
@@ -1225,7 +1136,6 @@ class ShardRouter:
             raise
         self._shards[shard.shard_id] = shard
         self._ring.add_shard(shard.shard_id)
-        self._resize_executor()
         # The ring changed: routed reads may now land on the (still empty)
         # newcomer, so no pre-join cache entry may survive.
         self._flush_cache()
@@ -1316,15 +1226,6 @@ class ShardRouter:
         self._schemas[name] = schema
         return schema
 
-    def _resize_executor(self) -> None:
-        wanted = self._pool_headroom(len(self._shards))
-        if wanted > self._executor.max_workers:
-            old = self._executor
-            self._executor = ScatterGatherExecutor(
-                max_workers=wanted, timeout=old.timeout
-            )
-            old.close()
-
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
@@ -1356,13 +1257,8 @@ class ShardRouter:
         *,
         policy: str,
         read: bool = False,
-        async_calls: Sequence[tuple[str, Callable[[], Any]]] | None = None,
     ) -> GatherResult:
         """Scatter ``calls`` and resolve failures: failover first, then policy.
-
-        When ``async_calls`` (coroutine factories, same shard order) are
-        provided the scatter runs on the router's event-loop thread over
-        the pipelined connections; the thread pool remains the fallback.
 
         A full-fleet *read* that loses shards first tries replica failover:
         when every ring segment still has a live successor
@@ -1379,16 +1275,10 @@ class ShardRouter:
         trace = current_trace()
         scatter_started_wall = time.time()
         scatter_started = time.monotonic()
-        if async_calls is not None and self._loop_thread is not None:
-            self._stats.record_loop_scatter()
-            transport = "event-loop"
-            outcomes = self._executor.scatter_on_loop(self._loop_thread, async_calls)
-        else:
-            transport = "thread-pool"
-            outcomes = self._executor.scatter(calls)
+        outcomes = self._executor.scatter(calls)
         scatter_elapsed = time.monotonic() - scatter_started
         self._record_outcomes(
-            trace, operation, transport, scatter_started_wall, scatter_elapsed, outcomes
+            trace, operation, scatter_started_wall, scatter_elapsed, outcomes
         )
         failures = [o for o in outcomes if not o.ok]
         if (
@@ -1413,7 +1303,6 @@ class ShardRouter:
         self,
         trace,
         operation: str,
-        transport: str,
         started_wall: float,
         elapsed_s: float,
         outcomes,
@@ -1438,7 +1327,8 @@ class ShardRouter:
             started_wall,
             elapsed_s,
             operation=operation,
-            transport=transport,
+            # One scatter path; the annotation stays for trace readers.
+            transport="select",
             shards=len(outcomes),
             failed_shard_ids=failed,
         )

@@ -30,17 +30,20 @@ machine boundary.  ``repro.net`` is that missing transport, in three layers:
     whole thing as a standalone process over any registered storage
     backend.
 
-**Client side** (:mod:`repro.net.client` / :mod:`repro.net.aio`)
-    One sans-IO protocol core (:mod:`repro.net.wire`) under two frontends
-    satisfying the same duck-type
+**Client side** (:mod:`repro.net.client`)
+    One transport: framed connections that never block, over a sans-IO
+    protocol core (:mod:`repro.net.wire`).
+    :class:`~repro.net.client.RemoteServerProxy` satisfies the duck-type
     :class:`~repro.api.EncryptedDatabase` and
-    :class:`~repro.outsourcing.client.OutsourcingClient` already use:
-    :class:`~repro.net.client.RemoteServerProxy`, a blocking proxy with a
-    bounded connection pool (``connect("tcp://host:port")``), and
-    :class:`~repro.net.aio.AsyncRemoteServerProxy`, which multiplexes any
-    number of in-flight requests over **one** pipelined asyncio connection
-    (``connect("tcp://host:port?async=1")``).  Both retry a dead
-    connection once with at-most-once semantics for non-idempotent
+    :class:`~repro.outsourcing.client.OutsourcingClient` already use
+    (``connect("tcp://host:port")``).  Its pool hands each concurrent
+    caller an idle connection, opening one only when none is idle, so
+    concurrency comes from threads, one request in flight per connection.
+    Every request is a :class:`~repro.net.client.RemoteCall`: it waits on
+    its socket's readiness for every step, connect included, so the proxy
+    ``timeout`` bounds it whole, and the cluster's scatter can drive many
+    shards' calls with one wait from one thread.  A dead connection is
+    retried once, with at-most-once semantics for non-idempotent
     operations.
 
 Evaluator deployment is the one operation that cannot ship objects across
@@ -55,17 +58,12 @@ traffic metadata (frame sizes and timing), which the paper's model already
 concedes to her.
 """
 
-from repro.net.aio import (
-    AsyncRemoteConnection,
-    AsyncRemoteServerProxy,
-    EventLoopThread,
-)
 from repro.net.client import (
     ConnectionLostError,
     ConnectionPool,
+    RemoteCall,
     RemoteConnection,
     RemoteError,
-    RemoteProxyBase,
     RemoteServerProxy,
     parse_tcp_options,
     parse_tcp_url,
@@ -100,14 +98,11 @@ from repro.net.server import (
 from repro.net.wire import ClientChannel, ServerHello
 
 __all__ = [
-    "AsyncRemoteConnection",
-    "AsyncRemoteServerProxy",
-    "EventLoopThread",
     "ConnectionLostError",
     "ConnectionPool",
+    "RemoteCall",
     "RemoteConnection",
     "RemoteError",
-    "RemoteProxyBase",
     "RemoteServerProxy",
     "parse_tcp_options",
     "parse_tcp_url",

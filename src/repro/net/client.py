@@ -1,29 +1,31 @@
-"""Client side of the TCP transport: connections, pool, and the proxies.
+"""Client side of the TCP transport: connections, pool, and the proxy.
 
 :class:`RemoteServerProxy` is the piece that makes the network transparent:
 it exposes the provider's request surface -- the byte-level
-:meth:`~RemoteProxyBase.handle_message` that every envelope (and so
+:meth:`~RemoteServerProxy.handle_message` that every envelope (and so
 :func:`repro.outsourcing.protocol.request`) goes through -- plus the
-management calls (:meth:`~RemoteProxyBase.register_evaluator`,
-:attr:`~RemoteProxyBase.relation_names`,
-:meth:`~RemoteProxyBase.stored_relation`, ...), so
+management calls (:meth:`~RemoteServerProxy.register_evaluator`,
+:attr:`~RemoteServerProxy.relation_names`,
+:meth:`~RemoteServerProxy.stored_relation`, ...), so
 :class:`~repro.api.EncryptedDatabase` and
 :class:`~repro.outsourcing.client.OutsourcingClient` drive a remote
 provider with the code paths they already use in-process.
 
-That whole surface lives in :class:`RemoteProxyBase`, expressed in terms of
-two transport primitives (ship an envelope, run a control operation), so
-the blocking proxy here and the pipelined
-:class:`~repro.net.aio.AsyncRemoteServerProxy` share every line of
-protocol logic and differ only in how bytes move.
-
-Connections are blocking sockets behind a bounded :class:`ConnectionPool`,
-so several threads can issue queries concurrently, each on its own
-connection.  Every new connection opens with the hello handshake; a
-provider speaking another protocol version is refused with
+Each request is a :class:`RemoteCall` on one connection from a
+:class:`ConnectionPool`, which reuses an idle connection and opens a new
+one only when none is idle, so any number of threads can call one proxy
+at once, each on its own connection.  A :class:`RemoteConnection` never
+blocks -- connect, hello, send and receive all wait on the socket's
+readiness -- so the caller's wait bounds the whole call: the proxy
+``timeout`` for a single call, the scatter budget when the cluster's
+scatter waits on every shard's call at once from one thread.  Every new
+connection opens with the hello handshake; a provider speaking another
+protocol version is refused with
 :class:`~repro.outsourcing.protocol.ProtocolVersionError`.  A call that
 hits a dead connection -- the provider restarted, an idle socket timed
-out -- is retried once on a fresh connection before the error surfaces.
+out -- is retried once on a fresh connection before the error surfaces,
+except that an ``INSERT_TUPLE`` (or ``drop-relation``) that may have
+reached the provider is never replayed.
 
 Errors raised here subclass
 :class:`~repro.outsourcing.server.ServerError`, so the facade's existing
@@ -34,9 +36,13 @@ from __future__ import annotations
 
 import base64
 import contextlib
+import errno
+import os
+import selectors
 import socket
 import threading
 import time
+from typing import Any, Callable
 from urllib.parse import urlsplit
 
 from repro.core.dph import EncryptedRelation, ServerEvaluator
@@ -73,6 +79,11 @@ class ConnectionLostError(RemoteError):
         self.request_delivered = request_delivered
 
 
+#: Envelope kinds whose replay would change provider state a second time.
+#: (STORE_RELATION replaces, DELETE_TUPLES_EXACT ignores unknown ids,
+#: queries are read-only -- only INSERT_TUPLE appends blindly.)
+NON_IDEMPOTENT_KINDS = frozenset({MessageKind.INSERT_TUPLE})
+
 #: Truthy / falsy spellings accepted by boolean URL options.
 _TRUE_OPTION_VALUES = frozenset({"1", "true", "yes", "on"})
 _FALSE_OPTION_VALUES = frozenset({"0", "false", "no", "off"})
@@ -91,17 +102,17 @@ def parse_bool_option(key: str, value: str) -> bool:
 
 
 def parse_tcp_options(url: str) -> tuple[str, int, dict]:
-    """Split ``tcp://host:port[?async=1&index=1]`` into its parts, strictly.
+    """Split ``tcp://host:port[?index=1&cache=1]`` into its parts, strictly.
 
-    Returns ``(host, port, options)``; the supported options are ``async``
-    (picks the pipelined asyncio transport, see
-    :class:`~repro.net.aio.AsyncRemoteServerProxy`), ``index`` (the
-    session maintains encrypted inverted indexes and serves exact selects
-    through ``INDEX_LOOKUP``) and ``cache`` (the session keeps a
+    Returns ``(host, port, options)``; the supported options are ``index``
+    (the session maintains encrypted inverted indexes and serves exact
+    selects through ``INDEX_LOOKUP``) and ``cache`` (the session keeps a
     client-side result cache of its reads, see :mod:`repro.cache`).
-    Unknown options are rejected, not ignored: a silently dropped typo
-    like ``?asnyc=1`` would quietly run the session on the wrong
-    transport.
+    ``async`` is still accepted, as a boolean, so URLs written for the
+    removed pipelined transport keep opening; it selects nothing and is
+    not returned.  Unknown options are rejected, not ignored: a silently
+    dropped typo like ``?idnex=1`` would quietly run the session without
+    its index.
     """
     parts = urlsplit(url)
     if parts.scheme != "tcp":
@@ -123,9 +134,11 @@ def parse_tcp_options(url: str) -> tuple[str, int, dict]:
             if key not in ("async", "index", "cache"):
                 raise RemoteError(
                     f"unknown provider URL option {key!r} "
-                    "(supported: async, index, cache)"
+                    "(supported: index, cache)"
                 )
-            options[key] = parse_bool_option(key, value)
+            parsed = parse_bool_option(key, value)
+            if key != "async":
+                options[key] = parsed
     return hostname, port, options
 
 
@@ -138,182 +151,240 @@ def parse_tcp_url(url: str) -> tuple[str, int]:
 
 
 class RemoteConnection:
-    """One blocking framed connection, hello-checked at construction.
+    """One framed connection to a provider, driven without blocking.
 
-    The wire work -- correlation ids, response pairing, hello -- lives in
-    the sans-IO :class:`~repro.net.wire.ClientChannel`; this class only
-    moves bytes through a blocking socket, one request at a time
-    (concurrency comes from the pool, pipelining from the asyncio
-    frontend over the very same channel core).
+    Construction starts a non-blocking connect and queues the hello;
+    :meth:`request` queues one request frame, sent as soon as the provider
+    has accepted the hello.  The owner waits until :meth:`fileno` is ready
+    for :meth:`events` and calls :meth:`advance`, which does the I/O the
+    socket allows now and returns the reply frame once it has fully
+    arrived.  No step -- connect, hello, send, receive -- ever blocks
+    (name resolution aside), so the owner's wait alone bounds a call, and
+    one thread can drive many connections at once.  The wire work -- correlation ids, response
+    pairing, the hello -- lives in the sans-IO
+    :class:`~repro.net.wire.ClientChannel`.
     """
 
     def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        timeout: float | None = 30.0,
-        max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
+        self, host: str, port: int, *, max_frame_size: int = DEFAULT_MAX_FRAME_SIZE
     ) -> None:
-        self._max_frame_size = max_frame_size
         self._channel = wire.ClientChannel(max_frame_size)
+        self._max_frame_size = max_frame_size
+        self._where = f"{host}:{port}"
+        self._sock: socket.socket | None = None
         try:
-            self._sock = socket.create_connection((host, port), timeout=timeout)
+            self._addresses = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)
         except OSError as exc:
             raise ConnectionLostError(
-                f"cannot connect to provider at {host}:{port}: {exc}"
+                f"cannot connect to provider at {self._where}: {exc}"
             ) from exc
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        try:
-            frame = self._round_trip(wire.encode_hello(), CHANNEL_CONTROL)
-            hello = wire.decode_hello(
-                wire.decode_control_response(frame.payload), max_frame_size
-            )
-        except wire.WireProtocolError as exc:
-            self.close()
-            raise RemoteError(str(exc)) from exc
-        except BaseException:
-            self.close()
-            raise
-        self.server_software: str = hello.software
-        self.server_max_frame_size: int = hello.max_frame_size
+        self._connect_next(None)
+        _, hello = self._channel.send(wire.encode_hello(), CHANNEL_CONTROL)
+        self._outgoing = memoryview(hello)
+        self._queued: bytes | None = None  # a request waiting for the hello
+        self._handshaken = False
+        #: True once the pending request's frame has fully left.
+        self.delivered = False
 
-    def call_envelope(self, raw: bytes, trace_id: bytes | None = None) -> bytes:
-        """One protocol round trip: envelope bytes out, envelope bytes back.
+    def request(self, payload: bytes, channel: int) -> None:
+        """Queue one request and send what the socket takes right away.
 
-        ``trace_id``, when given, is spliced into the envelope's trace
-        field (an O(1) byte splice) before it leaves.
+        Raises :class:`ConnectionLostError` when it cannot be sent.
         """
-        if trace_id is not None:
-            raw = protocol.attach_trace(raw, trace_id)
-        frame = self._round_trip(raw, CHANNEL_ENVELOPE)
-        if frame.channel == CHANNEL_CONTROL:
-            # The server only answers an envelope with a control frame to
-            # report a fatal transport-level failure before closing.
-            raise RemoteError(self._control_error(frame.payload))
-        return frame.payload
-
-    def call_control(self, op: str, **fields) -> dict:
-        """One control round trip; returns the response object on ``ok``."""
-        frame = self._round_trip(
-            wire.encode_control_request(op, **fields), CHANNEL_CONTROL
-        )
-        if frame.channel != CHANNEL_CONTROL:
-            raise RemoteError(f"provider answered control op {op!r} on the wrong channel")
         try:
-            response = wire.decode_control_response(frame.payload)
-        except wire.WireProtocolError as exc:
-            raise RemoteError(str(exc)) from exc
-        if not response.get("ok"):
-            raise RemoteError(wire.control_error(response))
-        return response
+            _, frame = self._channel.send(payload, channel)
+        except FramingError as exc:
+            raise ConnectionLostError(f"provider connection failed: {exc}") from exc
+        self.delivered = False
+        if self._handshaken:
+            self._outgoing = memoryview(frame)
+            self._flush()
+        else:
+            self._queued = frame
+
+    @property
+    def handshaken(self) -> bool:
+        """True once the provider has accepted the hello."""
+        return self._handshaken
+
+    def fileno(self) -> int:
+        """The socket's descriptor (it changes if an address is skipped)."""
+        return self._sock.fileno()
+
+    def events(self) -> int:
+        """What the socket must be ready for before the next :meth:`advance`."""
+        if self._connecting or self._outgoing:
+            return selectors.EVENT_WRITE
+        return selectors.EVENT_READ
+
+    def advance(self) -> Frame | None:
+        """Do the ready I/O; the reply frame once it has fully arrived.
+
+        Any transport failure raises :class:`ConnectionLostError`, whose
+        ``request_delivered`` tells whether the request had fully left; a
+        hello the provider refuses raises :class:`RemoteError` (or
+        :class:`~repro.outsourcing.protocol.ProtocolVersionError`).
+        """
+        try:
+            if self._connecting:
+                status = self._sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+                if status:
+                    self._connect_next(OSError(status, os.strerror(status)))
+                    return None
+                self._connecting = False
+            if self._outgoing:
+                self._flush()
+                return None
+            chunk = self._sock.recv(65536)
+            if not chunk:
+                raise ConnectionLostError(
+                    self._connection_lost_message(), request_delivered=self.delivered
+                )
+            matched = self._channel.receive(chunk)
+        except BlockingIOError:
+            return None
+        except (OSError, FramingError) as exc:
+            raise ConnectionLostError(
+                f"provider connection failed: {exc}", request_delivered=self.delivered
+            ) from exc
+        if not matched:
+            if self._channel.fault is not None:
+                # The server broadcast why it is hanging up (e.g. our frame
+                # exceeded its size limit); surface that instead of the
+                # bare EOF that follows.
+                raise ConnectionLostError(
+                    self._connection_lost_message(), request_delivered=self.delivered
+                )
+            return None
+        # One request in flight at a time: the only match is its answer.
+        frame = matched[0][1]
+        if self._handshaken:
+            return frame
+        self._accept_hello(frame)
+        if self._queued is not None:
+            self._outgoing, self._queued = memoryview(self._queued), None
+            self._flush()
+        return None
 
     def close(self) -> None:
         """Close the underlying socket (idempotent)."""
         with contextlib.suppress(OSError):
             self._sock.close()
 
-    def _round_trip(self, payload: bytes, channel: int) -> Frame:
-        delivered = False
-        correlation = None
+    def _connect_next(self, error: OSError | None) -> None:
+        """Start a non-blocking connect to the next resolved address."""
+        while self._addresses:
+            family, kind, proto, _, address = self._addresses.pop(0)
+            try:
+                sock = socket.socket(family, kind, proto)
+            except OSError as exc:
+                error = exc
+                continue
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            status = sock.connect_ex(address)
+            if status in (0, errno.EINPROGRESS, errno.EWOULDBLOCK):
+                # Swapped in before the old socket closes, so the new one
+                # never reuses a descriptor number a waiter still holds.
+                old, self._sock = self._sock, sock
+                if old is not None:
+                    old.close()
+                self._connecting = status != 0
+                return
+            sock.close()
+            error = OSError(status, os.strerror(status))
+        raise ConnectionLostError(f"cannot connect to provider at {self._where}: {error}")
+
+    def _flush(self) -> None:
+        """Send queued bytes until they are out or the socket buffer is full."""
         try:
-            correlation, wire_bytes = self._channel.send(payload, channel)
-            self._sock.sendall(wire_bytes)
-            delivered = True
-            while True:
-                chunk = self._sock.recv(65536)
-                if not chunk:
-                    raise ConnectionLostError(
-                        self._connection_lost_message(), request_delivered=True
-                    )
-                matched = self._channel.receive(chunk)
-                if matched:
-                    # One request in flight at a time: the first (and only)
-                    # matched response is ours.
-                    return matched[0][1]
-                if self._channel.fault is not None:
-                    # The server broadcast why it is hanging up (e.g. our
-                    # frame exceeded its size limit); surface that instead
-                    # of the bare EOF that follows.
-                    raise ConnectionLostError(
-                        self._connection_lost_message(), request_delivered=True
-                    )
-        except (OSError, FramingError) as exc:
-            if correlation is not None:
-                self._channel.cancel(correlation)
-            raise ConnectionLostError(
-                f"provider connection failed: {exc}", request_delivered=delivered
-            ) from exc
+            while self._outgoing:
+                sent = self._sock.send(self._outgoing)
+                self._outgoing = self._outgoing[sent:]
+        except BlockingIOError:
+            return
+        except OSError as exc:  # the frame did not fully leave
+            raise ConnectionLostError(f"provider connection failed: {exc}") from exc
+        if self._handshaken:
+            self.delivered = True
+
+    def _accept_hello(self, frame: Frame) -> None:
+        try:
+            wire.decode_hello(
+                wire.decode_control_response(frame.payload), self._max_frame_size
+            )
+        except wire.WireProtocolError as exc:
+            raise RemoteError(str(exc)) from exc
+        self._handshaken = True
 
     def _connection_lost_message(self) -> str:
         if self._channel.fault is not None:
             return f"provider closed the connection: {self._channel.fault}"
         return "provider closed the connection"
 
-    @staticmethod
-    def _control_error(payload: bytes) -> str:
-        try:
-            return wire.control_error(wire.decode_control_response(payload))
-        except wire.WireProtocolError:
-            return "unreadable provider error"
+
+def envelope_payload(frame: Frame) -> bytes:
+    """The envelope bytes of a reply frame.
+
+    The server only answers an envelope with a control frame to report a
+    fatal transport-level failure before closing; that becomes a
+    :class:`RemoteError` carrying the provider's text.
+    """
+    if frame.channel != CHANNEL_CONTROL:
+        return frame.payload
+    try:
+        error = wire.control_error(wire.decode_control_response(frame.payload))
+    except wire.WireProtocolError:
+        error = "unreadable provider error"
+    raise RemoteError(error)
+
+
+def control_response(frame: Frame) -> dict:
+    """The response object of a control reply frame, when it is ``ok``."""
+    if frame.channel != CHANNEL_CONTROL:
+        raise RemoteError("provider answered a control op on the wrong channel")
+    try:
+        response = wire.decode_control_response(frame.payload)
+    except wire.WireProtocolError as exc:
+        raise RemoteError(str(exc)) from exc
+    if not response.get("ok"):
+        raise RemoteError(wire.control_error(response))
+    return response
 
 
 class ConnectionPool:
-    """A bounded pool of :class:`RemoteConnection` for concurrent callers.
+    """Idle :class:`RemoteConnection` objects, reused most recent first.
 
-    ``max_size`` caps *concurrent* checkouts (a semaphore); idle connections
-    are reused most-recently-returned first.  A connection that fails inside
-    :meth:`checkout` is discarded, never returned to the pool.
+    :meth:`acquire` hands out an idle connection or opens a new one when
+    none is idle, so the pool grows to the peak number of concurrent
+    callers and never makes one wait.  A connection goes back with
+    :meth:`release` only after a completed round trip; one in an unknown
+    state (a failed or abandoned request) is closed instead, so a late
+    reply can never reach the next caller (:meth:`RemoteCall.close`).
     """
 
-    def __init__(self, factory, max_size: int = 4) -> None:
-        if max_size < 1:
-            raise ValueError("a connection pool needs max_size >= 1")
+    def __init__(self, factory: Callable[[], RemoteConnection]) -> None:
         self._factory = factory
-        self._slots = threading.Semaphore(max_size)
         self._lock = threading.Lock()
         self._idle: list[RemoteConnection] = []
         self._closed = False
 
-    @contextlib.contextmanager
-    def checkout(self):
-        """Borrow a connection; broken ones are dropped on the way out.
+    def acquire(self) -> RemoteConnection:
+        """An idle connection, or a new one (possibly still connecting)."""
+        with self._lock:
+            if self._closed:
+                raise RemoteError("the connection pool is closed")
+            if self._idle:
+                return self._idle.pop()
+        return self._factory()
 
-        A :class:`RemoteError` that is not a :class:`ConnectionLostError`
-        means a round trip *completed* and the provider answered ``ok:
-        false`` -- the connection is healthy and goes back to the pool.
-        Anything else (transport failure, unexpected caller error) leaves
-        the connection in an unknown state, so it is closed instead.
-        """
-        self._slots.acquire()
-        connection = None
-        reusable = False
-        try:
-            with self._lock:
-                if self._closed:
-                    raise RemoteError("the connection pool is closed")
-                if self._idle:
-                    connection = self._idle.pop()
-            if connection is None:
-                connection = self._factory()
-            yield connection
-            reusable = True
-        except ConnectionLostError:
-            raise
-        except RemoteError:
-            reusable = connection is not None
-            raise
-        finally:
-            if connection is not None:
-                if reusable:
-                    with self._lock:
-                        if self._closed:
-                            connection.close()
-                        else:
-                            self._idle.append(connection)
-                else:
-                    connection.close()
-            self._slots.release()
+    def release(self, connection: RemoteConnection) -> None:
+        """Return a healthy connection (closed instead if the pool is)."""
+        with self._lock:
+            if not self._closed:
+                self._idle.append(connection)
+                return
+        connection.close()
 
     def discard_idle(self) -> None:
         """Drop every idle connection (e.g. after a provider restart)."""
@@ -326,50 +397,71 @@ class ConnectionPool:
         """Close the pool and every idle connection."""
         with self._lock:
             self._closed = True
-            idle, self._idle = self._idle, []
-        for connection in idle:
-            connection.close()
+        self.discard_idle()
 
 
-class RemoteProxyBase:
-    """The provider's request surface over two transport primitives.
+class RemoteServerProxy:
+    """A remote provider behind a pool of non-blocking connections.
 
-    Subclasses provide :meth:`_transport_envelope` (ship one protocol
-    envelope, honoring the retry/idempotence contract) and
-    :meth:`_control` (run one management operation); everything else is
-    written once here and shared by the blocking and the pipelined asyncio
-    proxies, so their sync surfaces cannot drift apart.
+    Every request -- each envelope through :meth:`handle_message` and each
+    management or diagnostic control op -- is one :class:`RemoteCall`,
+    run to completion on the caller's thread within :attr:`timeout`.
     """
 
-    #: Envelope kinds whose replay would change provider state a second time.
-    #: (STORE_RELATION replaces, DELETE_TUPLES_EXACT ignores unknown ids,
-    #: queries are read-only -- only INSERT_TUPLE appends blindly.)
-    NON_IDEMPOTENT_KINDS = frozenset({MessageKind.INSERT_TUPLE})
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        *,
+        timeout: float | None = 30.0,
+        max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
+    ) -> None:
+        self._host = host
+        self._port = port
+        self._timeout = timeout
+        self._max_frame_size = max_frame_size
+        self._pool = ConnectionPool(self._new_connection)
+        # Handshake eagerly: fail fast on a bad address or a provider that
+        # speaks another protocol version.
+        connection = self._new_connection()
+        try:
+            def handshaken() -> bool:
+                connection.advance()
+                return connection.handshaken
 
-    # Subclasses set this during their handshake.
-    _server_software: str
+            if not wait_ready(connection, handshaken, timeout):
+                raise ConnectionLostError(
+                    f"provider at {host}:{port} did not answer the hello "
+                    f"within {timeout}s"
+                )
+        except BaseException:
+            connection.close()
+            raise
+        self._pool.release(connection)
+
+    @classmethod
+    def connect(cls, url: str, **kwargs) -> "RemoteServerProxy":
+        """Open a proxy from a ``tcp://host:port`` URL."""
+        host, port, _ = parse_tcp_options(url)
+        return cls(host, port, **kwargs)
 
     # ------------------------------------------------------------------ #
-    # Transport primitives (implemented by the frontends)
-    # ------------------------------------------------------------------ #
-
-    def _transport_envelope(self, raw: bytes, idempotent: bool) -> bytes:
-        raise NotImplementedError
-
-    def _control(self, op: str, *, idempotent: bool = True, **fields) -> dict:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # Connection facts
+    # Connection management
     # ------------------------------------------------------------------ #
 
     @property
-    def server_software(self) -> str:
-        """What the provider announced in its hello response."""
-        return self._server_software
+    def address(self) -> tuple[str, int]:
+        """The provider's ``(host, port)``."""
+        return self._host, self._port
+
+    @property
+    def timeout(self) -> float | None:
+        """The longest one request may take, connect included (None: no limit)."""
+        return self._timeout
+
+    def close(self) -> None:
+        """Close the proxy's connection pool."""
+        self._pool.close()
 
     def __enter__(self):
         return self
@@ -377,17 +469,61 @@ class RemoteProxyBase:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    def _new_connection(self) -> RemoteConnection:
+        return RemoteConnection(
+            self._host, self._port, max_frame_size=self._max_frame_size
+        )
+
+    def _control(self, op: str, *, idempotent: bool = True, **fields) -> dict:
+        payload = wire.encode_control_request(op, **fields)
+        call = RemoteCall(
+            self, payload, CHANNEL_CONTROL, parse=control_response, idempotent=idempotent
+        )
+        return call.wait()
+
     # ------------------------------------------------------------------ #
     # The provider's request surface
     # ------------------------------------------------------------------ #
 
     def handle_message(self, raw: bytes) -> bytes:
         """Ship one protocol envelope and return the provider's response."""
-        _, kind, _ = protocol.peek_envelope(raw)  # O(header): no body copy
-        return self._transport_envelope(
-            raw, idempotent=kind not in self.NON_IDEMPOTENT_KINDS
-        )
+        trace = current_trace()
+        started = time.time()
+        mono = time.monotonic()
+        try:
+            return self.envelope_call(raw).wait()
+        finally:
+            if trace is not None:
+                trace.record(
+                    "proxy.request",
+                    started,
+                    time.monotonic() - mono,
+                    transport="tcp",
+                    host=self._host,
+                    port=self._port,
+                )
 
+    def envelope_call(
+        self, raw: bytes, decode: Callable[[bytes], Any] | None = None
+    ) -> "RemoteCall":
+        """One envelope as a :class:`RemoteCall`, not yet started.
+
+        The envelope carries the caller's ambient trace id; the call's
+        result is the reply envelope, through ``decode`` when given.
+        """
+        _, kind, _ = protocol.peek_envelope(raw)  # O(header): no body copy
+        trace = current_trace()
+        if trace is not None:
+            raw = protocol.attach_trace(raw, trace.trace_id)
+        if decode is None:
+            parse = envelope_payload
+        else:
+            def parse(frame: Frame) -> Any:
+                return decode(envelope_payload(frame))
+        return RemoteCall(
+            self, raw, CHANNEL_ENVELOPE, parse=parse,
+            idempotent=kind not in NON_IDEMPOTENT_KINDS,
+        )
     def register_evaluator(self, name: str, evaluator: ServerEvaluator) -> None:
         """Deploy an evaluator remotely, by public-parameter description."""
         description = describe_evaluator(evaluator)
@@ -401,12 +537,21 @@ class RemoteProxyBase:
 
     def stored_relation(self, name: str) -> EncryptedRelation:
         """Fetch the provider's ciphertext copy of a relation."""
-        response = self._control("stored-relation", relation=name)
-        try:
-            raw = base64.b64decode(response["relation_b64"])
-        except (KeyError, ValueError) as exc:
-            raise RemoteError(f"malformed stored-relation response: {exc}") from exc
-        return protocol.decode_encrypted_relation(raw)
+        return self.stored_relation_call(name).wait()
+
+    def stored_relation_call(self, name: str) -> "RemoteCall":
+        """:meth:`stored_relation` as a :class:`RemoteCall`, not yet started."""
+
+        def parse(frame: Frame) -> EncryptedRelation:
+            response = control_response(frame)
+            try:
+                raw = base64.b64decode(response["relation_b64"])
+            except (KeyError, ValueError) as exc:
+                raise RemoteError(f"malformed stored-relation response: {exc}") from exc
+            return protocol.decode_encrypted_relation(raw)
+
+        payload = wire.encode_control_request("stored-relation", relation=name)
+        return RemoteCall(self, payload, CHANNEL_CONTROL, parse=parse)
 
     def tuple_count(self, name: str) -> int:
         """Number of tuple ciphertexts the provider stores for a relation."""
@@ -474,107 +619,151 @@ class RemoteProxyBase:
         return {key: value for key, value in response.items() if key != "ok"}
 
 
-class RemoteServerProxy(RemoteProxyBase):
-    """A remote provider behind a pool of blocking connections."""
+
+
+class RemoteCall:
+    """One request to a :class:`RemoteServerProxy`, split at the wire.
+
+    :meth:`start` queues the request on a pooled connection, or on a new
+    one that is still connecting.  The caller then waits until
+    :meth:`fileno` is ready for :meth:`events` and calls :meth:`advance`,
+    which returns True once the reply has arrived; :meth:`result` parses
+    it.  :meth:`wait` does all of that on the caller's thread within
+    :attr:`timeout`; the cluster's scatter drives many calls with one
+    wait instead.
+
+    The proxy's retry rules live here and only here: a connection that
+    fails -- a dead idle socket, a provider that restarted -- is replaced
+    once and the request sent again (which changes :meth:`fileno`), except
+    that an ``INSERT_TUPLE`` or a ``drop-relation`` that fully left is
+    never replayed: the provider may have applied it.  :meth:`close` ends
+    the call: only a connection that delivered its reply goes back to the
+    pool; after a failure or an abandoned wait it is closed, so a late
+    reply can never reach a later caller.
+    """
 
     def __init__(
         self,
-        host: str,
-        port: int,
+        proxy: RemoteServerProxy,
+        payload: bytes,
+        channel: int,
         *,
-        pool_size: int = 4,
-        timeout: float | None = 30.0,
-        max_frame_size: int = DEFAULT_MAX_FRAME_SIZE,
+        parse: Callable[[Frame], Any],
+        idempotent: bool = True,
     ) -> None:
-        self._host = host
-        self._port = port
-        self._timeout = timeout
-        self._max_frame_size = max_frame_size
-        self._pool = ConnectionPool(self._new_connection, max_size=pool_size)
-        # Handshake eagerly: fail fast on a bad address or a provider that
-        # speaks another protocol version.
-        with self._pool.checkout() as connection:
-            self._server_software = connection.server_software
+        self._proxy = proxy
+        self._payload = payload
+        self._channel = channel
+        self._parse = parse
+        self._idempotent = idempotent
+        #: The longest a waiter should wait for the reply (the proxy's).
+        self.timeout = proxy.timeout
+        self._connection: RemoteConnection | None = None
+        self._retried = False
+        self._reply: Frame | None = None
 
-    @classmethod
-    def connect(cls, url: str, **kwargs) -> "RemoteServerProxy":
-        """Open a proxy from a ``tcp://host:port`` URL."""
-        host, port, options = parse_tcp_options(url)
-        if options.get("async"):
-            raise RemoteError(
-                f"provider URL {url!r} requests the async transport; open it "
-                "with AsyncRemoteServerProxy.connect (or through "
-                "EncryptedDatabase.connect, which dispatches on the option)"
-            )
-        return cls(host, port, **kwargs)
+    def start(self) -> None:
+        """Queue the request (on a replacement connection if need be)."""
+        try:
+            self._connection = self._proxy._pool.acquire()
+            self._connection.request(self._payload, self._channel)
+        except ConnectionLostError as exc:
+            self._retry(exc)
 
-    # ------------------------------------------------------------------ #
-    # Connection management
-    # ------------------------------------------------------------------ #
+    def fileno(self) -> int:
+        """The descriptor to wait on."""
+        return self._connection.fileno()
 
-    @property
-    def address(self) -> tuple[str, int]:
-        """The provider's ``(host, port)``."""
-        return self._host, self._port
+    def events(self) -> int:
+        """What :meth:`fileno` must be ready for before :meth:`advance`."""
+        return self._connection.events()
 
-    def close(self) -> None:
-        """Close the proxy's connection pool."""
-        self._pool.close()
+    def advance(self) -> bool:
+        """Do the ready I/O; True once the reply is complete."""
+        try:
+            frame = self._connection.advance()
+        except ConnectionLostError as exc:
+            self._retry(exc)
+            return False
+        if frame is None:
+            return False
+        self._reply = frame
+        return True
 
-    def _new_connection(self) -> RemoteConnection:
-        return RemoteConnection(
-            self._host,
-            self._port,
-            timeout=self._timeout,
-            max_frame_size=self._max_frame_size,
-        )
+    def result(self) -> Any:
+        """The parsed reply."""
+        return self._parse(self._reply)
 
-    def _call(self, operation, idempotent: bool = True):
-        """Run ``operation(connection)``, retrying once on a dead connection.
+    def wait(self) -> Any:
+        """Run the call to completion on the caller's thread; its result.
 
-        Only transport-level failures (:class:`ConnectionLostError`) are
-        retried, and a non-idempotent operation is only retried when the
-        request never left this machine (``request_delivered`` is False) --
-        otherwise a provider that processed the request before dying would
-        see it applied twice.  Protocol-level errors are never retried.
+        A provider that has not answered within :attr:`timeout` -- connect
+        and hello included -- raises :class:`ConnectionLostError`; the
+        budget is spent, so that is not retried.
         """
         try:
-            with self._pool.checkout() as connection:
-                return operation(connection)
-        except ConnectionLostError as exc:
-            if exc.request_delivered and not idempotent:
-                raise
-            self._pool.discard_idle()
-            with self._pool.checkout() as connection:
-                return operation(connection)
-
-    # ------------------------------------------------------------------ #
-    # Transport primitives
-    # ------------------------------------------------------------------ #
-
-    def _transport_envelope(self, raw: bytes, idempotent: bool) -> bytes:
-        trace = current_trace()
-        trace_id = trace.trace_id if trace is not None else None
-        started = time.time()
-        mono = time.monotonic()
-        try:
-            return self._call(
-                lambda connection: connection.call_envelope(raw, trace_id=trace_id),
-                idempotent=idempotent,
-            )
-        finally:
-            if trace is not None:
-                trace.record(
-                    "proxy.request",
-                    started,
-                    time.monotonic() - mono,
-                    transport="tcp",
-                    host=self._host,
-                    port=self._port,
+            self.start()
+            if not wait_ready(self, self.advance, self.timeout):
+                host, port = self._proxy.address
+                raise ConnectionLostError(
+                    f"provider at {host}:{port} did not answer within {self.timeout}s",
+                    request_delivered=self._connection.delivered,
                 )
+            return self.result()
+        finally:
+            self.close()
 
-    def _control(self, op: str, *, idempotent: bool = True, **fields) -> dict:
-        return self._call(
-            lambda connection: connection.call_control(op, **fields),
-            idempotent=idempotent,
-        )
+    def close(self) -> None:
+        """Return the connection if it delivered its reply, else close it."""
+        connection, self._connection = self._connection, None
+        if connection is None:
+            return
+        if self._reply is not None and self._reply.channel == self._channel:
+            self._proxy._pool.release(connection)
+        else:
+            # Failed, abandoned, or answered with a transport-fatal error.
+            connection.close()
+
+    def _retry(self, exc: ConnectionLostError) -> None:
+        if self._retried or (exc.request_delivered and not self._idempotent):
+            raise exc
+        self._retried = True
+        self._proxy._pool.discard_idle()
+        dead, self._connection = self._connection, None
+        try:
+            # Opened before the dead socket closes, so the replacement
+            # never reuses a descriptor number a waiter still holds.
+            self._connection = self._proxy._new_connection()
+        finally:
+            if dead is not None:
+                dead.close()
+        self._connection.request(self._payload, self._channel)
+
+
+def wait_ready(
+    source: Any, advance: Callable[[], bool], timeout: float | None
+) -> bool:
+    """Call ``advance()`` whenever ``source`` is ready, until it returns True.
+
+    ``source`` is a :class:`RemoteConnection` or :class:`RemoteCall`; its
+    :meth:`fileno` and :meth:`events` are re-read after every step, since
+    a retry or an address fallback swaps the socket.  False when
+    ``timeout`` passed first.
+    """
+    deadline = None if timeout is None else time.monotonic() + timeout
+    with selectors.DefaultSelector() as selector:
+        fd, events = source.fileno(), source.events()
+        selector.register(fd, events)
+        while True:
+            wait_s = None if deadline is None else max(deadline - time.monotonic(), 0.0)
+            if not selector.select(wait_s):
+                return False
+            if advance():
+                return True
+            if source.fileno() != fd:
+                selector.unregister(fd)
+                fd, events = source.fileno(), source.events()
+                selector.register(fd, events)
+            elif source.events() != events:
+                events = source.events()
+                selector.modify(fd, events)

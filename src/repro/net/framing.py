@@ -36,8 +36,7 @@ callers can distinguish a clean EOF between frames from a peer dying
 mid-send.
 
 :class:`FrameDecoder` is sans-IO (fed bytes, yields frames) so the asyncio
-server, the blocking client and the asyncio client share one tested
-implementation.
+server and the blocking client share one tested implementation.
 """
 
 from __future__ import annotations

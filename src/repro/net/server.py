@@ -99,7 +99,7 @@ class KeyedSerialDispatcher:
 
     ``submit(key, func, *args)`` returns a :class:`concurrent.futures.Future`.
     Jobs sharing a key run strictly in submission order, one at a time; jobs
-    with different keys run concurrently up to ``max_workers``.  This is the
+    with different keys run concurrently up to ``workers``.  This is the
     concurrency contract of the provider: the storage backends tolerate
     concurrent access to *different* relations (separate dict slots /
     files) but not to the same one, and same-relation mutations must apply
@@ -111,14 +111,12 @@ class KeyedSerialDispatcher:
     """
 
     def __init__(
-        self, max_workers: int, thread_name_prefix: str = "repro-net-dispatch"
+        self, workers: int, thread_name_prefix: str = "repro-net-dispatch"
     ) -> None:
-        if max_workers < 1:
+        if workers < 1:
             raise ValueError("the dispatcher needs at least one worker")
-        self._max_workers = max_workers
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix=thread_name_prefix
-        )
+        self._workers = workers
+        self._pool = ThreadPoolExecutor(workers, thread_name_prefix=thread_name_prefix)
         self._lock = threading.Lock()
         self._queues: dict[Hashable, deque] = {}
         self._executing = 0
@@ -128,7 +126,7 @@ class KeyedSerialDispatcher:
     @property
     def workers(self) -> int:
         """Size of the dispatch pool."""
-        return self._max_workers
+        return self._workers
 
     @property
     def peak_concurrency(self) -> int:

@@ -1,22 +1,18 @@
 """Sans-IO client side of the framed transport.
 
-The blocking :class:`~repro.net.client.RemoteConnection` and the asyncio
-:class:`~repro.net.aio.AsyncRemoteConnection` speak exactly the same wire
-protocol -- correlation-id allocation, request/response pairing, the hello
-handshake, control-frame JSON -- and differ only in how bytes reach the
-socket.  This module is the shared core: it owns every protocol decision
-and performs no I/O, so both frontends are thin shims and the pipelining
-semantics are tested once.
+The non-blocking :class:`~repro.net.client.RemoteConnection` moves bytes;
+this module owns every protocol decision of the client side --
+correlation-id allocation, request/response pairing, the hello handshake,
+control-frame JSON -- and performs no I/O, so the pairing rules are tested
+without sockets.
 
 :class:`ClientChannel` is the heart of it.  ``send`` allocates a fresh
 correlation id for an outgoing request and remembers the caller's opaque
-*context* (the blocking client passes a sentinel, the asyncio client passes
-the future awaiting the response); ``receive`` absorbs raw socket bytes and
-yields ``(context, frame)`` pairs for every response that matches a pending
-request.  A response whose correlation id matches nothing -- the reply to a
-request the caller already cancelled, e.g. a scatter timeout -- is counted
-in :attr:`ClientChannel.orphan_frames` and dropped: late answers from a
-slow provider must never be delivered to the wrong caller.
+*context*; ``receive`` absorbs raw socket bytes and yields ``(context,
+frame)`` pairs for every response that matches a pending request.  A
+response whose correlation id matches nothing is counted in
+:attr:`ClientChannel.orphan_frames` and dropped: an answer must never be
+delivered to the wrong caller.
 """
 
 from __future__ import annotations
@@ -45,8 +41,7 @@ class ClientChannel:
     """Correlated request/response multiplexing over one connection (sans-IO).
 
     The channel tracks every in-flight request by its correlation id.  It is
-    not thread-safe by itself: the blocking client serializes access through
-    its connection object, the asyncio client confines it to the event loop.
+    not thread-safe by itself: a connection is used by one caller at a time.
     """
 
     def __init__(self, max_frame_size: int = DEFAULT_MAX_FRAME_SIZE) -> None:
@@ -59,12 +54,12 @@ class ClientChannel:
 
     @property
     def pending_count(self) -> int:
-        """Requests sent but not yet answered (or cancelled)."""
+        """Requests sent but not yet answered."""
         return len(self._pending)
 
     @property
     def orphan_frames(self) -> int:
-        """Responses that arrived after their request was cancelled."""
+        """Responses that matched no pending request, counted and dropped."""
         return self._orphans
 
     @property
@@ -73,8 +68,8 @@ class ClientChannel:
 
         The server answers byte-level violations it cannot attribute to a
         request (a frame that never decoded has no correlation id) with a
-        control error on correlation 0 and then hangs up; frontends fold
-        this text into the connection-failure error they raise, so the
+        control error on correlation 0 and then hangs up; the client folds
+        this text into the connection-failure error it raises, so the
         caller sees *why* the provider cut them off instead of a bare EOF.
         """
         return self._fault
@@ -85,7 +80,7 @@ class ClientChannel:
         """Register one outgoing request; returns ``(correlation, wire bytes)``.
 
         ``context`` is handed back verbatim when the matching response
-        arrives (or when the connection fails, via :meth:`fail_all`).
+        arrives.
         """
         correlation = self._allocate_correlation()
         self._pending[correlation] = context
@@ -122,16 +117,6 @@ class ClientChannel:
             matched.append((context, frame))
         return matched
 
-    def cancel(self, correlation: int) -> Any:
-        """Forget a pending request (its late response becomes an orphan)."""
-        return self._pending.pop(correlation, None)
-
-    def fail_all(self) -> list[Any]:
-        """Connection died: pop and return every pending request's context."""
-        contexts = list(self._pending.values())
-        self._pending.clear()
-        return contexts
-
     def _allocate_correlation(self) -> int:
         # Wrap at 32 bits, skipping ids still in flight (a pathological
         # 2**32 concurrent requests would spin here; real fleets top out at
@@ -146,7 +131,7 @@ class ClientChannel:
 
 
 # --------------------------------------------------------------------------- #
-# The hello handshake and control-frame JSON (shared by both frontends)
+# The hello handshake and control-frame JSON
 # --------------------------------------------------------------------------- #
 
 @dataclass(frozen=True)

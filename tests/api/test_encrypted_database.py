@@ -39,18 +39,20 @@ def tcp_provider():
     params=[
         "in-process",
         "tcp",
-        "tcp-async",
+        "cluster-mixed",
         "cluster",
         "in-process+index",
         "tcp+index",
-        "tcp-async+index",
+        "cluster-mixed+index",
         "cluster+index",
     ]
 )
 def transport(request):
-    """Direct provider, a socket (blocking or pipelined), or a 2-shard
-    cluster of in-process backends -- each plain and with the encrypted
-    inverted index maintained through every operation."""
+    """Direct provider, a socket, a 2-shard cluster of in-process backends,
+    or a mixed 2-shard cluster (one TCP shard, one in-process shard, so
+    every scatter waits on a socket and calls a shard inline) -- each
+    plain and with the encrypted inverted index maintained through every
+    operation."""
     return request.param
 
 
@@ -68,8 +70,6 @@ def db(request, transport, secret_key, rng):
     if base == "cluster":
         # The same suite sharded across two backends -- the scatter-gather
         # router must be just as transparent as the socket.
-        from repro.outsourcing import OutsourcedDatabaseServer
-
         session = EncryptedDatabase.open(
             secret_key,
             shards=[OutsourcedDatabaseServer(), OutsourcedDatabaseServer()],
@@ -81,20 +81,29 @@ def db(request, transport, secret_key, rng):
             session.create_table(EMP_DECL, rows=ROWS)
             yield session
         finally:
-            session.close()  # shuts the router's scatter pool down
+            session.close()
         return
     # The same suite over tcp:// -- the transport must be transparent --
-    # both the blocking pooled proxy and the pipelined asyncio proxy.
+    # alone, or as one shard of a cluster beside an in-process shard.
     provider = request.getfixturevalue("tcp_provider")
-    options = [opt for opt, on in (("async=1", base == "tcp-async"),
-                                   ("index=1", indexed)) if on]
-    suffix = "?" + "&".join(options) if options else ""
-    session = EncryptedDatabase.connect(
-        f"tcp://127.0.0.1:{provider.port}{suffix}",
-        secret_key,
-        scheme=request.param,
-        rng=rng,
-    )
+    url = f"tcp://127.0.0.1:{provider.port}"
+    if base == "cluster-mixed":
+        from repro.cluster import ShardRouter
+
+        session = EncryptedDatabase.open(
+            secret_key,
+            server=ShardRouter([url, OutsourcedDatabaseServer()]),
+            scheme=request.param,
+            rng=rng,
+            index=indexed,
+        )
+    else:
+        session = EncryptedDatabase.connect(
+            url + ("?index=1" if indexed else ""),
+            secret_key,
+            scheme=request.param,
+            rng=rng,
+        )
     try:
         session.create_table(EMP_DECL, rows=ROWS)
         yield session

@@ -35,13 +35,13 @@ class TestExpansion:
         cells = expand_matrix_entry(
             {
                 "benchmark": "exact_select",
-                "transport": ["tcp", "tcp-async"],
+                "transport": ["tcp", "cluster"],
                 "in_flight": [1, 4],
             }
         )
         assert len(cells) == 4
         assert {(c.transport, c.in_flight) for c in cells} == {
-            ("tcp", 1), ("tcp", 4), ("tcp-async", 1), ("tcp-async", 4),
+            ("tcp", 1), ("tcp", 4), ("cluster", 1), ("cluster", 4),
         }
 
     def test_unknown_axis_rejected(self):
@@ -83,7 +83,7 @@ class TestCellValidation:
 
     def test_cluster_allows_shards_and_depth(self):
         CellConfig(
-            benchmark="exact_select", transport="cluster-async",
+            benchmark="exact_select", transport="cluster",
             shards=3, in_flight=4,
         ).validate()
 
@@ -219,4 +219,4 @@ class TestMatrixConfig:
         assert config.experiment == "quick"
         assert config.gates.max_regression_pct == 20.0
         transports = {cell.transport for cell in config.cells}
-        assert {"in-process", "tcp", "tcp-async", "cluster"} <= transports
+        assert {"in-process", "tcp", "cluster"} <= transports

@@ -39,14 +39,13 @@ class TestManifestDocument:
             ),
             replicas=2,
             virtual_nodes=128,
-            async_transport=True,
         )
         path = manifest.save(tmp_path / "fleet.json")
         assert ClusterManifest.load(path) == manifest
         document = json.loads(path.read_text())
         assert document["version"] == 1
         assert document["replicas"] == 2
-        assert document["async"] is True
+        assert "async" not in document  # no transport choice left to record
 
     def test_cluster_url_carries_the_topology_options(self):
         manifest = ClusterManifest(
@@ -55,9 +54,8 @@ class TestManifestDocument:
                 ShardEntry("b", "tcp://h2:2"),
             ),
             replicas=2,
-            async_transport=True,
         )
-        assert manifest.cluster_url() == "cluster://h1:1,h2:2?replicas=2&async=1"
+        assert manifest.cluster_url() == "cluster://h1:1,h2:2?replicas=2"
         plain = ClusterManifest(shards=(ShardEntry("a", "tcp://h1:1"),))
         assert plain.cluster_url() == "cluster://h1:1"
 
@@ -104,7 +102,6 @@ class TestManifestSessions:
             try:
                 assert router.shard_ids == ("shard-0", "shard-1")
                 assert router.replication == 2
-                assert not router.async_transport
             finally:
                 router.close()
 
@@ -128,14 +125,20 @@ class TestManifestSessions:
                 assert len(db.select("SELECT * FROM Emp WHERE dept = 'HR'").relation) == 12
                 db.drop_table("Emp")
 
-    def test_manifest_async_default_picks_the_pipelined_transport(self, secret_key):
+    def test_manifest_with_the_old_async_field_still_loads(self, tmp_path, secret_key):
+        """Manifests written while the pipelined transport existed carry
+        ``"async"``; they open the one transport there is."""
         with ThreadedTcpServer() as one:
-            manifest = manifest_for(one, async_transport=True)
-            router = ShardRouter.from_manifest(manifest)
-            try:
-                assert router.async_transport
-            finally:
-                router.close()
+            document = manifest_for(one).to_json()
+            document["async"] = True
+            path = tmp_path / "fleet.json"
+            path.write_text(json.dumps(document))
+            manifest = ClusterManifest.load(path)
+            assert manifest == manifest_for(one)
+            with EncryptedDatabase.connect(f"cluster+file://{path}", secret_key) as db:
+                db.create_table(EMP_DECL, rows=ROWS)
+                assert db.count("Emp") == len(ROWS)
+                db.drop_table("Emp")
 
     def test_conflicting_replicas_keyword_is_rejected(self, tmp_path):
         with ThreadedTcpServer() as one, ThreadedTcpServer() as two:

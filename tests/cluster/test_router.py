@@ -480,13 +480,26 @@ class TestConstruction:
         with pytest.raises(ClusterError, match="integer"):
             parse_cluster_options("cluster://h1:1?replicas=two")
 
+    def test_the_old_async_option_is_accepted_and_ignored(self):
+        from repro.net.client import RemoteError, parse_tcp_options
+
+        url = "cluster://h1:1,h2:2?replicas=2&async=1&cache=1"
+        assert parse_cluster_options(url)[1] == {"replicas": 2, "cache": True}
+        assert parse_cluster_options("cluster://h1:1?async=0")[1] == {}
+        assert parse_tcp_options("tcp://h1:1?async=1") == ("h1", 1, {})
+        # Still a boolean: a malformed value is an error, not ignored.
+        with pytest.raises(ClusterError, match="boolean"):
+            parse_cluster_options("cluster://h1:1?async=maybe")
+        with pytest.raises(RemoteError, match="boolean"):
+            parse_tcp_options("tcp://h1:1?async=maybe")
+
     def test_option_typos_rejected_with_supported_list(self):
-        # A silently dropped ?asnyc=1 would quietly run the session on the
-        # wrong transport -- the error must name the typo and the options.
+        # A silently dropped ?asnyc=1 would hide a typo in a URL -- the
+        # error must name the typo and the options.
         with pytest.raises(
             ClusterError,
             match=r"unknown cluster URL option 'asnyc' "
-            r"\(supported: replicas, async, index, cache\)",
+            r"\(supported: replicas, index, cache\)",
         ):
             parse_cluster_options("cluster://h1:1?asnyc=1")
         from repro.net.client import RemoteError, parse_tcp_options
@@ -494,7 +507,7 @@ class TestConstruction:
         with pytest.raises(
             RemoteError,
             match=r"unknown provider URL option 'asnyc' "
-            r"\(supported: async, index, cache\)",
+            r"\(supported: index, cache\)",
         ):
             parse_tcp_options("tcp://h1:1?asnyc=1")
 

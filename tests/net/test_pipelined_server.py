@@ -30,7 +30,7 @@ EMP_DECL = "Emp(name:string[14], dept:string[5], salary:int[6])"
 
 class TestKeyedSerialDispatcher:
     def test_same_key_is_fifo(self):
-        dispatcher = KeyedSerialDispatcher(max_workers=4)
+        dispatcher = KeyedSerialDispatcher(workers=4)
         order = []
         gate = threading.Event()
 
@@ -47,7 +47,7 @@ class TestKeyedSerialDispatcher:
         dispatcher.shutdown()
 
     def test_different_keys_run_concurrently(self):
-        dispatcher = KeyedSerialDispatcher(max_workers=4)
+        dispatcher = KeyedSerialDispatcher(workers=4)
         gate = threading.Event()
         entered = threading.Event()
 
@@ -69,7 +69,7 @@ class TestKeyedSerialDispatcher:
         dispatcher.shutdown()
 
     def test_exceptions_travel_through_the_future(self):
-        dispatcher = KeyedSerialDispatcher(max_workers=1)
+        dispatcher = KeyedSerialDispatcher(workers=1)
 
         def boom():
             raise RuntimeError("kaboom")
@@ -84,7 +84,7 @@ class TestKeyedSerialDispatcher:
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
-            KeyedSerialDispatcher(max_workers=0)
+            KeyedSerialDispatcher(workers=0)
 
 
 def hello(sock) -> dict:
@@ -181,12 +181,12 @@ class TestPipelinedConnections:
                 fast_sock.close()
 
     def test_same_relation_requests_stay_fifo_under_pipelining(self):
-        """Pipelined inserts into one relation apply in send order."""
+        """Concurrent inserts into one relation all apply, one at a time."""
         from repro.api import EncryptedDatabase
 
         with ThreadedTcpServer() as server:
             db = EncryptedDatabase.connect(
-                f"tcp://127.0.0.1:{server.port}?async=1", scheme="plaintext"
+                f"tcp://127.0.0.1:{server.port}", scheme="plaintext"
             )
             try:
                 db.create_table("Log(seq:int[6])")
@@ -208,7 +208,7 @@ class TestPipelinedConnections:
         id exists yet) is broadcast on correlation 0; the client folds the
         diagnostic into its connection error instead of dropping it."""
         from repro.api import EncryptedDatabase
-        from repro.net import AsyncRemoteServerProxy, ConnectionLostError
+        from repro.net import ConnectionLostError, RemoteServerProxy
 
         with ThreadedTcpServer(max_frame_size=4096) as server:
             db = EncryptedDatabase.connect(
@@ -223,11 +223,15 @@ class TestPipelinedConnections:
                 assert "exceeds the 4096-byte limit" in str(excinfo.value)
             finally:
                 db.close()
-            # The pipelined client surfaces the same diagnostic.
-            proxy = AsyncRemoteServerProxy("127.0.0.1", server.port)
+            # A call straight through the proxy surfaces the same diagnostic.
+            proxy = RemoteServerProxy("127.0.0.1", server.port)
             try:
+                envelope = Message(
+                    kind=MessageKind.INSERT_TUPLE, relation_name="Blob",
+                    body=b"\x00" * 8192,
+                ).to_bytes()
                 with pytest.raises(ConnectionLostError, match="exceeds"):
-                    proxy._transport_envelope(b"\x00" * 8192, idempotent=False)
+                    proxy.envelope_call(envelope).wait()
             finally:
                 proxy.close()
 

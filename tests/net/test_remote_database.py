@@ -35,7 +35,7 @@ class TestRemoteSessions:
             EncryptedDatabase.connect("udp://127.0.0.1:1", secret_key)
         with pytest.raises(DatabaseError):
             EncryptedDatabase.connect(
-                OutsourcedDatabaseServer(), secret_key, pool_size=9
+                OutsourcedDatabaseServer(), secret_key, timeout=9.0
             )
 
     def test_two_sessions_share_one_remote_provider(self, secret_key, rng):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import selectors
 import socket
 import threading
 
@@ -19,8 +20,13 @@ from repro.net import (
     recv_frame,
     send_frame,
 )
-from repro.net.client import ConnectionLostError, ConnectionPool, RemoteConnection, parse_tcp_url
-from repro.net.aio import AsyncRemoteServerProxy
+from repro.net.client import (
+    ConnectionLostError,
+    ConnectionPool,
+    RemoteCall,
+    RemoteConnection,
+    parse_tcp_url,
+)
 from repro.outsourcing import Message, MessageKind, OutsourcedDatabaseServer
 from repro.outsourcing.protocol import PROTOCOL_VERSION, ProtocolVersionError
 
@@ -95,8 +101,6 @@ class TestHelloNegotiation:
         with ThreadedTcpServer() as server:
             with pytest.raises(ProtocolVersionError):
                 RemoteServerProxy("127.0.0.1", server.port)
-            with pytest.raises(ProtocolVersionError):
-                AsyncRemoteServerProxy("127.0.0.1", server.port)
             url = f"tcp://127.0.0.1:{server.port}"
             for url in (url, url + "?async=1"):
                 with pytest.raises(DatabaseError) as excinfo:
@@ -222,7 +226,7 @@ class TestConcurrentClients:
         def worker(index: int) -> None:
             try:
                 db = EncryptedDatabase.connect(
-                    f"tcp://127.0.0.1:{provider.port}", secret_key, pool_size=2
+                    f"tcp://127.0.0.1:{provider.port}", secret_key
                 )
                 decl = f"T{index}(name:string[10], value:int[6])"
                 db.create_table(decl, rows=[(f"row{i}", i) for i in range(20)])
@@ -312,9 +316,9 @@ class TestClientPieces:
             placeholder.bind(("127.0.0.1", 0))
             unused_port = placeholder.getsockname()[1]
         with pytest.raises(ConnectionLostError):
-            RemoteConnection("127.0.0.1", unused_port, timeout=1.0)
+            RemoteServerProxy("127.0.0.1", unused_port, timeout=1.0)
 
-    def test_pool_bounds_concurrent_checkouts(self, provider):
+    def test_pool_opens_only_when_none_is_idle(self, provider):
         built = []
 
         def factory():
@@ -322,71 +326,101 @@ class TestClientPieces:
             built.append(connection)
             return connection
 
-        pool = ConnectionPool(factory, max_size=2)
-        with pool.checkout() as a, pool.checkout() as b:
-            assert a is not b
-        # both went back to the pool; a third checkout reuses, not rebuilds
-        with pool.checkout():
-            pass
-        assert len(built) == 2
+        pool = ConnectionPool(factory)
+        held = [pool.acquire() for _ in range(3)]
+        assert len({id(connection) for connection in held}) == 3  # no cap
+        for connection in held:
+            pool.release(connection)
+        # all went back to the pool; later acquires reuse, not rebuild
+        again = [pool.acquire() for _ in range(2)]
+        assert all(connection in held for connection in again)
+        assert len(built) == 3
         pool.close()
+        for connection in again:
+            connection.close()
 
     def test_pool_discards_broken_connections(self, provider):
-        pool = ConnectionPool(
-            lambda: RemoteConnection("127.0.0.1", provider.port), max_size=2
-        )
-        with pytest.raises(RuntimeError):
-            with pool.checkout() as connection:
-                raise RuntimeError("boom")
-        # the failed connection was not returned to the pool
-        with pool.checkout() as fresh:
-            assert fresh.call_control("ping")["ok"]
-        pool.close()
+        """A call abandoned before its reply closes its connection."""
+        proxy = RemoteServerProxy("127.0.0.1", provider.port)
+        try:
+            envelope = Message(kind=MessageKind.LIST_TUPLE_IDS, relation_name="X").to_bytes()
+            call = proxy.envelope_call(envelope)
+            call.start()
+            abandoned = call._connection
+            call.close()
+            assert abandoned not in proxy._pool._idle
+            assert not proxy._pool._idle
+            assert proxy.ping()  # a fresh connection serves the next call
+        finally:
+            proxy.close()
 
     def test_pool_reuses_connection_after_protocol_level_error(self, provider):
         """An ok:false answer completes the round trip; no reconnect churn."""
-        built = []
-
-        def factory():
-            connection = RemoteConnection("127.0.0.1", provider.port)
-            built.append(connection)
-            return connection
-
-        pool = ConnectionPool(factory, max_size=2)
-        with pytest.raises(RemoteError):
-            with pool.checkout() as connection:
-                connection.call_control("stored-relation", relation="nope")
-        with pool.checkout() as connection:
-            assert connection.call_control("ping")["ok"]
-        assert len(built) == 1  # the same healthy connection served both
-        pool.close()
+        proxy = RemoteServerProxy("127.0.0.1", provider.port)
+        try:
+            with pytest.raises(RemoteError):
+                proxy.stored_relation("nope")
+            assert proxy.ping()
+            # the same healthy connection served the handshake and both calls
+            assert provider.server.stats.connections_total == 1
+        finally:
+            proxy.close()
 
     def test_non_idempotent_ops_are_not_retried_once_delivered(self, provider):
         proxy = RemoteServerProxy("127.0.0.1", provider.port)
-        calls = []
+        built: list = []
 
-        def exploding(connection):
-            calls.append(connection)
-            raise ConnectionLostError("late failure", request_delivered=True)
+        def exploding_connection():
+            connection = ExplodingConnection()
+            built.append(connection)
+            return connection
 
+        proxy._pool.discard_idle()
+        proxy._pool._factory = proxy._new_connection = exploding_connection
         # delivered + idempotent -> one retry; delivered + non-idempotent -> none
-        with pytest.raises(ConnectionLostError):
-            proxy._call(exploding, idempotent=True)
-        assert len(calls) == 2
-        calls.clear()
-        with pytest.raises(ConnectionLostError):
-            proxy._call(exploding, idempotent=False)
-        assert len(calls) == 1
+        for idempotent, attempts in ((True, 2), (False, 1)):
+            built.clear()
+            call = RemoteCall(
+                proxy, b"{}", CHANNEL_CONTROL, parse=lambda frame: frame,
+                idempotent=idempotent,
+            )
+            with pytest.raises(ConnectionLostError, match="late failure"):
+                call.wait()
+            assert len(built) == attempts
+            assert all(connection.closed for connection in built)
         proxy.close()
 
     def test_closed_pool_rejects_checkout(self, provider):
-        pool = ConnectionPool(
-            lambda: RemoteConnection("127.0.0.1", provider.port), max_size=1
-        )
+        pool = ConnectionPool(lambda: RemoteConnection("127.0.0.1", provider.port))
         pool.close()
         with pytest.raises(RemoteError, match="closed"):
-            with pool.checkout():
-                pass
+            pool.acquire()
+
+
+class ExplodingConnection:
+    """A connection whose request is delivered and then lost."""
+
+    def __init__(self) -> None:
+        self.ours, self.theirs = socket.socketpair()
+        self.theirs.sendall(b"!")  # readable at once
+        self.closed = False
+
+    def request(self, payload: bytes, channel: int) -> None:
+        pass
+
+    def fileno(self) -> int:
+        return self.ours.fileno()
+
+    def events(self) -> int:
+        return selectors.EVENT_READ
+
+    def advance(self):
+        raise ConnectionLostError("late failure", request_delivered=True)
+
+    def close(self) -> None:
+        self.closed = True
+        self.ours.close()
+        self.theirs.close()
 
 
 class TestGracefulShutdown:

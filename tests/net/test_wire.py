@@ -47,26 +47,10 @@ class TestClientChannel:
         assert frames[0].correlation == correlation
         assert frames[0].channel == CHANNEL_CONTROL
 
-    def test_cancelled_requests_orphan_their_late_response(self):
-        channel = ClientChannel()
-        correlation, _ = channel.send(b"slow", CHANNEL_ENVELOPE, context="gone")
-        assert channel.cancel(correlation) == "gone"
-        assert channel.pending_count == 0
-        matched = channel.receive(response_bytes(correlation))
-        assert matched == []
-        assert channel.orphan_frames == 1
-
     def test_unsolicited_response_is_an_orphan(self):
         channel = ClientChannel()
         assert channel.receive(response_bytes(1234)) == []
         assert channel.orphan_frames == 1
-
-    def test_fail_all_pops_every_context(self):
-        channel = ClientChannel()
-        channel.send(b"a", CHANNEL_ENVELOPE, context="x")
-        channel.send(b"b", CHANNEL_ENVELOPE, context="y")
-        assert channel.fail_all() == ["x", "y"]
-        assert channel.pending_count == 0
 
     def test_partial_frames_buffer_across_receives(self):
         channel = ClientChannel()

@@ -4,8 +4,10 @@ Every caller -- the session, the outsourcing client, the proxies' id
 listing, the rebalancer -- builds an envelope, hands it to a provider's
 ``handle_message``, parses the reply and checks its kind through
 :func:`~repro.outsourcing.protocol.request`.  These tests pin that
-contract on an in-process provider, both TCP proxies and a shard router,
-and the typed errors it raises in place of matching on error text.
+contract on an in-process provider, the TCP proxy, an in-process shard
+router and a router over one TCP shard plus one in-process shard (its
+scatter's socket-wait-plus-inline path), and the typed errors it raises
+in place of matching on error text.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import pytest
 
 from repro.cluster import ShardRouter
 from repro.net import RemoteServerProxy, ThreadedTcpServer
-from repro.net.aio import AsyncRemoteServerProxy
 from repro.outsourcing import OutsourcedDatabaseServer, protocol
 from repro.outsourcing.protocol import (
     MAGIC,
@@ -26,7 +27,7 @@ from repro.outsourcing.protocol import (
 )
 from repro.relational import Selection
 
-SURFACES = ("local", "tcp", "async-tcp", "router")
+SURFACES = ("local", "tcp", "cluster-mixed", "router")
 
 
 @pytest.fixture(params=SURFACES)
@@ -38,12 +39,18 @@ def provider(request):
         router = ShardRouter([OutsourcedDatabaseServer(), OutsourcedDatabaseServer()])
         yield router
         router.close()
-    else:
-        proxy_class = (
-            RemoteServerProxy if request.param == "tcp" else AsyncRemoteServerProxy
-        )
+    elif request.param == "cluster-mixed":
         with ThreadedTcpServer() as server:
-            proxy = proxy_class("127.0.0.1", server.port)
+            router = ShardRouter(
+                [f"tcp://127.0.0.1:{server.port}", OutsourcedDatabaseServer()]
+            )
+            try:
+                yield router
+            finally:
+                router.close()
+    else:
+        with ThreadedTcpServer() as server:
+            proxy = RemoteServerProxy("127.0.0.1", server.port)
             try:
                 yield proxy
             finally:

@@ -19,12 +19,11 @@ instead of wedging it:
    shard's data, the router's failover counter fires and its degraded
    counter stays zero.
 
-3. **Async pipelined transport** -- two ``repro serve`` subprocesses
-   driven through a ``cluster://...?async=1`` session: the full CRUD
-   round trip over pipelined asyncio connections, the router's
-   event-loop scatter counter asserted to have fired, plus a direct
-   ``AsyncRemoteServerProxy`` burst of concurrent in-flight requests
-   over one connection.
+3. **Concurrent scatter** -- two ``repro serve`` subprocesses behind one
+   ``cluster://`` session driven from 2 threads at once: every scatter
+   waits on both shards' sockets from its caller's thread, each thread on
+   its own pooled connections, and every answer must be exact.  Then 8
+   concurrent pings go through one proxy, each on its own connection.
 
 4. **Indexed fleet** -- two ``repro serve`` subprocesses behind a
    ``cluster://...?index=1`` session: the session builds the encrypted
@@ -213,7 +212,7 @@ def smoke_replicated_failover() -> int:
                     proc.wait(timeout=10)
 
 
-def smoke_async_transport() -> int:
+def smoke_concurrent_scatter() -> int:
     procs: list[subprocess.Popen] = []
     try:
         hosts = []
@@ -221,58 +220,70 @@ def smoke_async_transport() -> int:
             proc, host = _spawn_provider()
             procs.append(proc)
             hosts.append(host)
-        url = "cluster://" + ",".join(hosts) + "?async=1"
-        print(f"async fleet up at {url}")
+        url = "cluster://" + ",".join(hosts)
+        print(f"fleet up at {url}")
+
+        import threading
 
         from repro.api import EncryptedDatabase
-        from repro.net import AsyncRemoteServerProxy
+        from repro.net import RemoteServerProxy
 
         with EncryptedDatabase.connect(url, timeout=STARTUP_TIMEOUT_S) as db:
-            if not db.server.async_transport:
-                print("FAIL: session did not pick the async transport")
-                return 1
             db.create_table(
                 "Smoke(name:string[10], value:int[4])",
                 rows=[(f"row{i}", i % 3) for i in range(NUM_ROWS)],
             )
             expected = NUM_ROWS // 3
-            if len(db.select("SELECT * FROM Smoke WHERE value = 1").relation) != expected:
-                print("FAIL: async-transport query answered wrong multiplicities")
+            failures: list[str] = []
+
+            def reader(value: int) -> None:
+                try:
+                    for _ in range(10):
+                        got = len(
+                            db.select(f"SELECT * FROM Smoke WHERE value = {value}").relation
+                        )
+                        if got != expected:
+                            failures.append(f"value={value}: {got} rows, want {expected}")
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    failures.append(f"value={value}: {exc}")
+
+            threads = [threading.Thread(target=reader, args=(v,)) for v in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=STARTUP_TIMEOUT_S)
+            if any(thread.is_alive() for thread in threads):
+                print("FAIL: a concurrent reader never finished")
+                return 1
+            if failures:
+                print(f"FAIL: concurrent scatter answered wrong: {failures[:3]}")
                 return 1
             db.insert("Smoke", {"name": "extra", "value": 1})
             if db.count("Smoke") != NUM_ROWS + 1:
-                print("FAIL: async-transport insert/count mismatch")
+                print("FAIL: insert/count mismatch after the concurrent reads")
                 return 1
             if db.delete("SELECT * FROM Smoke WHERE value = 2") != expected:
-                print("FAIL: async-transport delete mismatch")
+                print("FAIL: delete mismatch after the concurrent reads")
                 return 1
-            stats = db.server.stats.as_dict()
-            if stats["loop_scatters"] < 3:
-                print(f"FAIL: the event-loop scatter path never ran: {stats}")
+            print("2 threads x 10 scatter reads through one session answered exactly")
+
+        # One proxy, 8 concurrent callers, each on its own pooled connection.
+        with RemoteServerProxy.connect(
+            f"tcp://{hosts[0]}", timeout=STARTUP_TIMEOUT_S
+        ) as proxy:
+            answers: list[bool] = []
+            pingers = [
+                threading.Thread(target=lambda: answers.append(proxy.ping()))
+                for _ in range(8)
+            ]
+            for thread in pingers:
+                thread.start()
+            for thread in pingers:
+                thread.join(timeout=STARTUP_TIMEOUT_S)
+            if answers != [True] * 8:
+                print(f"FAIL: concurrent pings lost answers: {answers}")
                 return 1
-            print(
-                f"async CRUD round trip ok ({stats['loop_scatters']} "
-                "event-loop scatters)"
-            )
-
-        # One pipelined connection, a burst of concurrent in-flight pings.
-        import asyncio
-
-        host, port = hosts[0].rsplit(":", 1)
-        proxy = AsyncRemoteServerProxy(host, int(port), timeout=STARTUP_TIMEOUT_S)
-        try:
-            async def burst():
-                return await asyncio.gather(
-                    *(proxy.call_control_async("ping") for _ in range(32))
-                )
-
-            responses = proxy.loop_thread.run(burst())
-            if len(responses) != 32 or not all(r.get("ok") for r in responses):
-                print("FAIL: pipelined burst lost responses")
-                return 1
-        finally:
-            proxy.close()
-        print("32 pipelined in-flight requests answered on one connection")
+        print("8 concurrent pings through one proxy answered")
         return 0
     finally:
         for proc in procs:
@@ -395,7 +406,7 @@ def smoke_metrics_plane() -> int:
             snapshots = []
             for host in hosts:
                 with RemoteServerProxy.connect(
-                    f"tcp://{host}", pool_size=1, timeout=STARTUP_TIMEOUT_S
+                    f"tcp://{host}", timeout=STARTUP_TIMEOUT_S
                 ) as probe:
                     snapshot = probe.metrics().get("metrics")
                     if not snapshot:
@@ -539,7 +550,7 @@ def main() -> int:
     exit_code = smoke_replicated_failover()
     if exit_code != 0:
         return exit_code
-    exit_code = smoke_async_transport()
+    exit_code = smoke_concurrent_scatter()
     if exit_code != 0:
         return exit_code
     exit_code = smoke_indexed_fleet()
